@@ -131,6 +131,13 @@ class Decoder {
     return s;
   }
 
+  /// Advances past `n` bytes the caller reads in place.
+  Status Skip(size_t n) {
+    if (n > remaining()) return Truncated("skipped bytes");
+    pos_ += n;
+    return Status::OK();
+  }
+
   size_t position() const { return pos_; }
   size_t remaining() const { return data_.size() - pos_; }
   bool Done() const { return pos_ >= data_.size(); }

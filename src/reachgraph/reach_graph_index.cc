@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <queue>
 #include <unordered_set>
 
@@ -12,43 +13,6 @@
 #include "storage/build_pool.h"
 
 namespace streach {
-
-namespace {
-
-/// Serializes one vertex into a partition blob, declaring its run
-/// structure as it goes: the sorted member/out/in id arrays are the
-/// codec-compressible runs, the mixed-width sections stay opaque bytes.
-void EncodeVertex(VertexId id, const DnVertex& v, Encoder* enc,
-                  RecordShape* shape) {
-  size_t mark = enc->size();
-  enc->PutU32(id);
-  enc->PutI32(v.span.start);
-  enc->PutI32(v.span.end);
-  enc->PutVarint(v.members.size());
-  shape->Bytes(enc->size() - mark);
-  for (ObjectId o : v.members) enc->PutU32(o);
-  shape->U32Delta(v.members.size());
-  mark = enc->size();
-  enc->PutVarint(v.out.size());
-  shape->Bytes(enc->size() - mark);
-  for (VertexId w : v.out) enc->PutU32(w);
-  shape->U32Delta(v.out.size());
-  mark = enc->size();
-  enc->PutVarint(v.in.size());
-  shape->Bytes(enc->size() - mark);
-  for (VertexId w : v.in) enc->PutU32(w);
-  shape->U32Delta(v.in.size());
-  mark = enc->size();
-  enc->PutVarint(v.long_out.size());
-  for (const LongEdge& e : v.long_out) {
-    enc->PutI32(e.anchor);
-    enc->PutVarint(static_cast<uint64_t>(e.length));
-    enc->PutU32(e.target);
-  }
-  shape->Bytes(enc->size() - mark);
-}
-
-}  // namespace
 
 Result<std::unique_ptr<ReachGraphIndex>> ReachGraphIndex::Build(
     const ContactNetwork& network, const ReachGraphOptions& options) {
@@ -102,6 +66,7 @@ Status ReachGraphIndex::PlaceOnDisk(const DnGraph& graph) {
   const size_t n = graph.num_vertices();
   constexpr uint32_t kUnassigned = static_cast<uint32_t>(-1);
   vertex_partition_.assign(n, kUnassigned);
+  vertex_offset_.assign(n, 0);
 
   // Partitioning (§5.1.3): vertices in topological (= id) order; from each
   // unassigned root, a BFS over DN_1 out-edges up to depth dp claims every
@@ -159,7 +124,11 @@ Status ReachGraphIndex::PlaceOnDisk(const DnGraph& graph) {
       enc.PutVarint(members.size());
       shape.Bytes(enc.size());
       for (VertexId v : members) {
+        vertex_offset_[v] = static_cast<uint32_t>(enc.size());
         EncodeVertex(v, graph.vertex(v), &enc, &shape);
+      }
+      if (enc.size() > std::numeric_limits<uint32_t>::max()) {
+        return Status::OutOfRange("partition blob exceeds 4 GiB");
       }
       auto extent = writer.Append(shard, enc.buffer(), shape);
       if (!extent.ok()) return extent.status();
@@ -200,83 +169,20 @@ Status ReachGraphIndex::PlaceOnDisk(const DnGraph& graph) {
   return writer.Flush();
 }
 
-Result<ReachGraphIndex::ParsedPartition> ReachGraphIndex::ParsePartition(
-    const std::string& blob) const {
-  Decoder dec(blob);
-  ParsedPartition vertices;
-  auto count = dec.GetVarint();
-  if (!count.ok()) return count.status();
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto id = dec.GetU32();
-    if (!id.ok()) return id.status();
-    StoredVertex sv;
-    auto ts = dec.GetI32();
-    auto te = dec.GetI32();
-    if (!ts.ok() || !te.ok()) return Status::Corruption("vertex span");
-    sv.span = TimeInterval(*ts, *te);
-    auto nm = dec.GetVarint();
-    if (!nm.ok()) return nm.status();
-    sv.members.reserve(*nm);
-    for (uint64_t j = 0; j < *nm; ++j) {
-      auto o = dec.GetU32();
-      if (!o.ok()) return o.status();
-      sv.members.push_back(*o);
-    }
-    auto nout = dec.GetVarint();
-    if (!nout.ok()) return nout.status();
-    sv.out.reserve(*nout);
-    for (uint64_t j = 0; j < *nout; ++j) {
-      auto w = dec.GetU32();
-      if (!w.ok()) return w.status();
-      sv.out.push_back(*w);
-    }
-    auto nin = dec.GetVarint();
-    if (!nin.ok()) return nin.status();
-    sv.in.reserve(*nin);
-    for (uint64_t j = 0; j < *nin; ++j) {
-      auto w = dec.GetU32();
-      if (!w.ok()) return w.status();
-      sv.in.push_back(*w);
-    }
-    auto nlong = dec.GetVarint();
-    if (!nlong.ok()) return nlong.status();
-    sv.long_out.reserve(*nlong);
-    for (uint64_t j = 0; j < *nlong; ++j) {
-      auto anchor = dec.GetI32();
-      auto length = dec.GetVarint();
-      auto target = dec.GetU32();
-      if (!anchor.ok() || !length.ok() || !target.ok()) {
-        return Status::Corruption("long edge");
-      }
-      sv.long_out.push_back(LongEdge{
-          *target, *anchor, static_cast<int32_t>(*length)});
-    }
-    vertices.emplace(*id, std::move(sv));
-  }
-  return vertices;
-}
-
-Result<const ReachGraphIndex::StoredVertex*> ReachGraphIndex::GetVertex(
+Result<VertexView> ReachGraphIndex::GetVertex(
     VertexId v, TraversalScratch* scratch) const {
   if (v >= vertex_partition_.size()) {
     return Status::OutOfRange("vertex id out of range");
   }
   const uint32_t partition = vertex_partition_[v];
-  auto& parsed = scratch->parsed;
-  auto it = parsed.find(partition);
-  if (it == parsed.end()) {
-    auto blob = ReadExtent(scratch->pool, partition_extents_[partition],
-                           options_.page_size);
+  auto it = scratch->blobs.find(partition);
+  if (it == scratch->blobs.end()) {
+    auto blob = ReadExtentShared(scratch->pool, partition_extents_[partition],
+                                 options_.page_size);
     if (!blob.ok()) return blob.status();
-    auto vertices = ParsePartition(*blob);
-    if (!vertices.ok()) return vertices.status();
-    it = parsed.emplace(partition, std::move(*vertices)).first;
+    it = scratch->blobs.emplace(partition, std::move(*blob)).first;
   }
-  auto vit = it->second.find(v);
-  if (vit == it->second.end()) {
-    return Status::Corruption("vertex missing from its partition");
-  }
-  return &vit->second;
+  return DecodeStoredVertex(*it->second, vertex_offset_[v], v);
 }
 
 Status ReachGraphIndex::PrefetchVertices(const std::vector<VertexId>& vs,
@@ -292,7 +198,7 @@ Status ReachGraphIndex::PrefetchVertices(const std::vector<VertexId>& vs,
       return Status::OutOfRange("vertex id out of range");
     }
     const uint32_t partition = vertex_partition_[v];
-    if (scratch->parsed.count(partition) != 0) continue;
+    if (scratch->blobs.count(partition) != 0) continue;
     bool queued = false;
     for (uint32_t p : partitions) {
       if (p == partition) {
@@ -308,9 +214,8 @@ Status ReachGraphIndex::PrefetchVertices(const std::vector<VertexId>& vs,
   auto blobs = ReadExtentsBatched(scratch->pool, extents, options_.page_size);
   if (!blobs.ok()) return blobs.status();
   for (size_t k = 0; k < partitions.size(); ++k) {
-    auto vertices = ParsePartition((*blobs)[k]);
-    if (!vertices.ok()) return vertices.status();
-    scratch->parsed.emplace(partitions[k], std::move(*vertices));
+    scratch->blobs.emplace(partitions[k], std::make_shared<const std::string>(
+                                              std::move((*blobs)[k])));
   }
   return Status::OK();
 }
@@ -347,10 +252,25 @@ Result<std::vector<DnGraph::TimelineEntry>> ReachGraphIndex::ReadTimeline(
 
 Result<VertexId> ReachGraphIndex::LookupVertex(ObjectId object, Timestamp t,
                                                BufferPool* pool) const {
-  auto timeline = ReadTimeline(object, pool);
-  if (!timeline.ok()) return timeline.status();
-  for (const auto& entry : *timeline) {
-    if (entry.span.Contains(t)) return entry.vertex;
+  if (object >= timeline_extents_.size()) {
+    return Status::NotFound("unknown object");
+  }
+  auto blob = ReadExtentShared(pool, timeline_extents_[object],
+                               options_.page_size);
+  if (!blob.ok()) return blob.status();
+  // Scanned in place: (start, end, vertex) triples of 12 bytes each. A
+  // count the blob cannot hold is Corruption, as ParseTimeline reports it.
+  Decoder dec(**blob);
+  auto count = dec.GetVarint();
+  if (!count.ok()) return count.status();
+  if (*count > dec.remaining() / 12) {
+    return Status::Corruption("timeline entry");
+  }
+  const U32Run fields((*blob)->data() + dec.position(), 3 * *count);
+  for (size_t i = 0; i < fields.size(); i += 3) {
+    const TimeInterval span(static_cast<Timestamp>(fields[i]),
+                            static_cast<Timestamp>(fields[i + 1]));
+    if (span.Contains(t)) return fields[i + 2];
   }
   return Status::NotFound("object has no vertex at requested time");
 }
@@ -443,7 +363,7 @@ Result<std::vector<Timestamp>> ReachGraphIndex::ReachableSet(
     // span (Property 5.1), so everyone aboard is infected the tick the
     // item enters.
     newly.clear();
-    for (ObjectId o : (*sv)->members) {
+    for (ObjectId o : sv->members) {
       if (o < num_objects_ && infection[o] == kInvalidTime) {
         infection[o] = top.enter;
         newly.push_back(o);
@@ -495,7 +415,7 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
     return sets;
   }
 
-  // Batch-shared read state: partitions parse once into the scratch, and
+  // Batch-shared read state: partitions are read once into the scratch, and
   // every object's timeline is read/parsed at most once no matter how
   // many sources sweep over it — the per-source loop pays both again for
   // every seed.
@@ -591,7 +511,7 @@ Result<std::vector<std::vector<Timestamp>>> ReachGraphIndex::ReachableSets(
       if (!sv.ok()) return sv.status();
       newly.clear();
       std::vector<ObjectId> newly_objects;
-      for (ObjectId o : (*sv)->members) {
+      for (ObjectId o : sv->members) {
         if (o >= num_objects_) continue;
         const uint64_t add = new_mask & ~infected[o];
         if (add == 0) continue;
@@ -726,7 +646,7 @@ Result<std::vector<ReachProfileEntry>> ReachGraphIndex::ConstrainedProfile(
       auto sv = GetVertex(v, &scratch);
       if (!sv.ok()) return sv.status();
       scope.AddItemsVisited(1);
-      for (ObjectId o : (*sv)->members) {
+      for (ObjectId o : sv->members) {
         if (o >= num_objects_) continue;
         const Timestamp cand = (o == e.m1) ? e.t2 : e.t1;
         if (cand == kInvalidTime) continue;
@@ -844,7 +764,7 @@ Result<ReachAnswer> ReachGraphIndex::RunBidirectional(const ReachQuery& query,
     scope.AddItemsVisited(1);
     auto sv = GetVertex(entry.vertex, &scratch);
     if (!sv.ok()) return sv.status();
-    const StoredVertex& vx = **sv;
+    const VertexView& vx = *sv;
     for (ObjectId o : vx.members) {
       if (objects_bwd.count(o) != 0) return true;
       objects_fwd.insert(o);
@@ -892,7 +812,7 @@ Result<ReachAnswer> ReachGraphIndex::RunBidirectional(const ReachQuery& query,
     scope.AddItemsVisited(1);
     auto sv = GetVertex(entry.vertex, &scratch);
     if (!sv.ok()) return sv.status();
-    const StoredVertex& vx = **sv;
+    const VertexView& vx = *sv;
     for (ObjectId o : vx.members) {
       if (objects_fwd.count(o) != 0) return true;
       objects_bwd.insert(o);
@@ -975,7 +895,7 @@ Result<ReachAnswer> ReachGraphIndex::RunUnidirectional(const ReachQuery& query,
     if (v == *v2) return finish(true);
     auto sv = GetVertex(v, &scratch);
     if (!sv.ok()) return sv.status();
-    const StoredVertex& vx = **sv;
+    const VertexView& vx = *sv;
     const Timestamp arrival = vx.span.end + 1;
     if (arrival > w.end) continue;
     pushed.clear();

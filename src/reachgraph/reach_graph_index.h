@@ -2,6 +2,7 @@
 #define STREACH_REACHGRAPH_REACH_GRAPH_INDEX_H_
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "reachgraph/augmenter.h"
 #include "reachgraph/dn_builder.h"
 #include "reachgraph/dn_graph.h"
+#include "reachgraph/stored_vertex.h"
 #include "storage/block_device.h"
 #include "storage/block_file.h"
 #include "storage/buffer_pool.h"
@@ -173,16 +175,6 @@ class ReachGraphIndex {
   uint64_t num_partitions() const { return partition_extents_.size(); }
 
  private:
-  /// Deserialized vertex as stored in a partition blob.
-  struct StoredVertex {
-    TimeInterval span;
-    std::vector<ObjectId> members;
-    std::vector<VertexId> out;
-    std::vector<VertexId> in;
-    std::vector<LongEdge> long_out;
-  };
-  using ParsedPartition = std::unordered_map<VertexId, StoredVertex>;
-
   ReachGraphIndex(const ReachGraphOptions& options)
       : options_(options),
         topology_(StorageTopologyOptions{options.num_shards,
@@ -194,18 +186,18 @@ class ReachGraphIndex {
   Status PlaceOnDisk(const DnGraph& graph);
 
   /// Per-query traversal state: the caller's buffer pool plus the
-  /// partitions parsed so far (discarded when the query ends). Keeping it
-  /// on the query's stack — not in the index — is what makes the query
-  /// paths const and concurrently callable.
+  /// verified partition blobs read so far, by partition id (released when
+  /// the query ends). Keeping it on the query's stack — not in the index —
+  /// is what makes the query paths const and concurrently callable.
   struct TraversalScratch {
     BufferPool* pool = nullptr;
-    std::unordered_map<uint32_t, ParsedPartition> parsed;
+    std::unordered_map<uint32_t, std::shared_ptr<const std::string>> blobs;
   };
 
-  /// Loads (and caches in `scratch`) the vertex's partition; returns the
-  /// vertex, valid for the lifetime of `scratch`.
-  Result<const StoredVertex*> GetVertex(VertexId v,
-                                        TraversalScratch* scratch) const;
+  /// Reads (once per query, into `scratch`) the vertex's partition blob
+  /// and decodes the vertex in place at its directory offset; the view is
+  /// valid for the lifetime of `scratch`.
+  Result<VertexView> GetVertex(VertexId v, TraversalScratch* scratch) const;
 
   /// Prefetches the partitions of `vs` into `scratch` as one batched read
   /// when the session's queue depth exceeds 1 — the frontier's partition
@@ -214,9 +206,6 @@ class ReachGraphIndex {
   /// touches exactly the pages the synchronous traversal did.
   Status PrefetchVertices(const std::vector<VertexId>& vs,
                           TraversalScratch* scratch) const;
-
-  /// Decodes one partition blob into its vertex table.
-  Result<ParsedPartition> ParsePartition(const std::string& blob) const;
 
   /// (object, t) -> vertex via the on-disk timeline (Ht lookup).
   Result<VertexId> LookupVertex(ObjectId object, Timestamp t,
@@ -244,9 +233,11 @@ class ReachGraphIndex {
   std::vector<IoStats> build_io_;  // Per-shard build-phase device IO.
   QueryStats last_stats_;
 
-  // In-memory directory (metadata): partition of each vertex, extent of
-  // each partition, extent of each object timeline.
+  // In-memory directory (metadata): partition of each vertex and its byte
+  // offset inside that partition's blob, extent of each partition, extent
+  // of each object timeline.
   std::vector<uint32_t> vertex_partition_;
+  std::vector<uint32_t> vertex_offset_;
   std::vector<Extent> partition_extents_;
   std::vector<Extent> timeline_extents_;
   TimeInterval span_;

@@ -5,7 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "generators/datasets.h"
@@ -18,6 +24,7 @@
 #include "reachgraph/dn_builder.h"
 #include "reachgraph/dn_graph.h"
 #include "reachgraph/reach_graph_index.h"
+#include "storage/checksum.h"
 
 namespace streach {
 namespace {
@@ -444,6 +451,276 @@ TEST(ReachGraphTest, QueryStatsTrackIo) {
   const QueryStats& stats = (*index)->last_query_stats();
   EXPECT_GT(stats.io_cost, 0.0);
   EXPECT_GT(stats.pages_fetched, 0u);
+}
+
+
+// ------------------------------------------------- Pinned read sequence
+
+/// Folds a run of queries into one comparable record: the answer bytes
+/// and per-query `QueryStats` (io_cost, pages, pool hits, vertices) of
+/// every query in order, hashed, plus their totals for a readable diff.
+/// Two runs with equal records gave the same answers and walked the
+/// buffer pool through the same hits and misses, query by query.
+struct PinnedRun {
+  std::string name;
+  double io_cost;
+  uint64_t pages;
+  uint64_t hits;
+  uint64_t items;
+  uint32_t digest;
+};
+
+class RunRecorder {
+ public:
+  explicit RunRecorder(std::string name) { run_.name = std::move(name); }
+
+  void Add(const std::string& answer, const QueryStats& s) {
+    uint64_t io_bits;
+    std::memcpy(&io_bits, &s.io_cost, sizeof(io_bits));
+    bytes_ += answer;
+    for (uint64_t field : {io_bits, s.pages_fetched, s.pool_hits,
+                           s.items_visited}) {
+      bytes_.append(reinterpret_cast<const char*>(&field), sizeof(field));
+    }
+    run_.io_cost += s.io_cost;
+    run_.pages += s.pages_fetched;
+    run_.hits += s.pool_hits;
+    run_.items += s.items_visited;
+  }
+
+  PinnedRun Finish() {
+    run_.digest = Fnv1a32(bytes_);
+    return run_;
+  }
+
+ private:
+  PinnedRun run_{};
+  std::string bytes_;
+};
+
+template <typename T>
+void AppendPod(const T& v, std::string* out) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+std::string AnswerBytes(const ReachAnswer& a) {
+  std::string out(1, a.reachable ? '1' : '0');
+  AppendPod(a.arrival_time, &out);
+  return out;
+}
+
+std::string AnswerBytes(const std::vector<Timestamp>& set) {
+  std::string out;
+  for (Timestamp t : set) AppendPod(t, &out);
+  return out;
+}
+
+std::string AnswerBytes(const std::vector<ReachProfileEntry>& profile) {
+  std::string out;
+  for (const ReachProfileEntry& e : profile) {
+    AppendPod(e.infected_at, &out);
+    AppendPod(e.transfers, &out);
+  }
+  return out;
+}
+
+// Captured from the whole-partition parsing read path that in-place
+// vertex decoding replaced: every traversal, cold (pool cleared before
+// each query, the default 64-page session pool) and hot (a pool holding
+// the whole index, measured after one warm pass), at io_queue_depth 1
+// and 4, under both codecs. A read path that decodes vertices differently must still
+// request exactly these pages in this order and return these answers.
+const std::vector<PinnedRun>& PinnedRuns() {
+  static const std::vector<PinnedRun> runs = {
+      {"raw/d1/cold/bm-bfs", 246.24999999999997, 4070, 0, 108, 0xd52ff4ca},
+      {"raw/d1/cold/b-bfs", 247.69999999999999, 4080, 1, 124, 0x92223091},
+      {"raw/d1/cold/e-bfs", 302.64999999999998, 4343, 113, 8288, 0x3bda7503},
+      {"raw/d1/cold/e-dfs", 297.59999999999997, 4299, 38, 1379, 0x068692ff},
+      {"raw/d1/cold/set", 1012.2000000000002, 6507, 571, 9344, 0x39d233fb},
+      {"raw/d1/cold/sets", 1009.35, 6545, 562, 27563, 0x7a123225},
+      {"raw/d1/cold/profile", 652, 5839, 359, 12429, 0x3c12d212},
+      {"raw/d1/hot/bm-bfs", 0, 0, 4070, 108, 0x5d9a36d1},
+      {"raw/d1/hot/b-bfs", 0, 0, 4081, 124, 0x51c0518a},
+      {"raw/d1/hot/e-bfs", 0, 0, 4456, 8288, 0x18c355fc},
+      {"raw/d1/hot/e-dfs", 0, 0, 4337, 1379, 0x5a49c520},
+      {"raw/d1/hot/set", 0, 0, 7078, 9344, 0x90298cf0},
+      {"raw/d1/hot/sets", 0, 0, 7107, 27563, 0xf014f56e},
+      {"raw/d1/hot/profile", 0, 0, 6198, 12429, 0x1570d43c},
+      {"raw/d4/cold/bm-bfs", 303.64999999999998, 4097, 3, 108, 0x2e209ec1},
+      {"raw/d4/cold/b-bfs", 297.55000000000001, 4089, 3, 124, 0x721993f4},
+      {"raw/d4/cold/e-bfs", 371.85000000000002, 4340, 138, 8288, 0x9d461b3a},
+      {"raw/d4/cold/e-dfs", 379, 4312, 39, 1379, 0x3972afc9},
+      {"raw/d4/cold/set", 1691.1000000000004, 6614, 464, 9344, 0xa5ae57fa},
+      {"raw/d4/cold/sets", 1685.0000000000002, 6625, 482, 27563, 0x85c0c92d},
+      {"raw/d4/cold/profile", 769.69999999999993, 5799, 399, 12429, 0x0c8a4b2c},
+      {"raw/d4/hot/bm-bfs", 0, 0, 4100, 108, 0xd69084ff},
+      {"raw/d4/hot/b-bfs", 0, 0, 4092, 124, 0xf0c65cdf},
+      {"raw/d4/hot/e-bfs", 0, 0, 4478, 8288, 0xe871593e},
+      {"raw/d4/hot/e-dfs", 0, 0, 4351, 1379, 0xaac40b7a},
+      {"raw/d4/hot/set", 0, 0, 7078, 9344, 0x90298cf0},
+      {"raw/d4/hot/sets", 0, 0, 7107, 27563, 0xf014f56e},
+      {"raw/d4/hot/profile", 0, 0, 6198, 12429, 0x1570d43c},
+      {"delta-varint/d1/cold/bm-bfs", 241.05000000000004, 3985, 0, 108, 0x87a0010e},
+      {"delta-varint/d1/cold/b-bfs", 242.40000000000003, 3993, 1, 124, 0xbfe043ad},
+      {"delta-varint/d1/cold/e-bfs", 298.95000000000005, 4250, 114, 8288, 0xa5500bbe},
+      {"delta-varint/d1/cold/e-dfs", 288.19999999999999, 4206, 40, 1379, 0xb8028c48},
+      {"delta-varint/d1/cold/set", 595.60000000000002, 4863, 867, 9344, 0x3b4feef4},
+      {"delta-varint/d1/cold/sets", 623.14999999999998, 4920, 834, 27563, 0x0ae23098},
+      {"delta-varint/d1/cold/profile", 411.60000000000002, 4660, 472, 12429, 0x6337ae9f},
+      {"delta-varint/d1/hot/bm-bfs", 0, 0, 0, 108, 0xbe9597c1},
+      {"delta-varint/d1/hot/b-bfs", 0, 0, 0, 124, 0xba09c17b},
+      {"delta-varint/d1/hot/e-bfs", 0, 0, 0, 8288, 0x19bf3638},
+      {"delta-varint/d1/hot/e-dfs", 0, 0, 0, 1379, 0xa481c341},
+      {"delta-varint/d1/hot/set", 0, 0, 0, 9344, 0x337d01f1},
+      {"delta-varint/d1/hot/sets", 0, 0, 0, 27563, 0x1728d27e},
+      {"delta-varint/d1/hot/profile", 0, 0, 0, 12429, 0xfd1873b1},
+      {"delta-varint/d4/cold/bm-bfs", 296.45000000000005, 4010, 3, 108, 0xc2b308ae},
+      {"delta-varint/d4/cold/b-bfs", 291.40000000000003, 4004, 3, 124, 0x6cce3cde},
+      {"delta-varint/d4/cold/e-bfs", 365.44999999999999, 4250, 138, 8288, 0x213e3a76},
+      {"delta-varint/d4/cold/e-dfs", 371.49999999999994, 4219, 42, 1379, 0x089a4601},
+      {"delta-varint/d4/cold/set", 865.64999999999998, 4944, 786, 9344, 0x20c6b8fe},
+      {"delta-varint/d4/cold/sets", 892.20000000000016, 4981, 773, 27563, 0xa3e70ca8},
+      {"delta-varint/d4/cold/profile", 505.39999999999998, 4655, 477, 12429, 0x137a8659},
+      {"delta-varint/d4/hot/bm-bfs", 0, 0, 0, 108, 0xbe9597c1},
+      {"delta-varint/d4/hot/b-bfs", 0, 0, 0, 124, 0xba09c17b},
+      {"delta-varint/d4/hot/e-bfs", 0, 0, 0, 8288, 0x19bf3638},
+      {"delta-varint/d4/hot/e-dfs", 0, 0, 0, 1379, 0xa481c341},
+      {"delta-varint/d4/hot/set", 0, 0, 0, 9344, 0x337d01f1},
+      {"delta-varint/d4/hot/sets", 0, 0, 0, 27563, 0x1728d27e},
+      {"delta-varint/d4/hot/profile", 0, 0, 0, 12429, 0xfd1873b1},
+  };
+  return runs;
+}
+
+TEST(ReachGraphTest, ReadSequenceIsPinned) {
+  const ContactNetwork net = RandomRwpNetwork(131, 60, 200);
+  WorkloadParams wl;
+  wl.num_queries = 12;
+  wl.num_objects = 60;
+  wl.span = net.span();
+  wl.min_interval_len = 20;
+  wl.max_interval_len = 150;
+  wl.seed = 29;
+  const std::vector<ReachQuery> queries = GenerateWorkload(wl);
+
+  using Procedure =
+      std::function<Result<std::string>(ReachGraphIndex*, size_t, BufferPool*,
+                                        QueryStats*)>;
+  auto point = [&](auto method) -> Procedure {
+    return [&queries, method](ReachGraphIndex* index, size_t i,
+                              BufferPool* pool,
+                              QueryStats* stats) -> Result<std::string> {
+      auto a = (index->*method)(queries[i], pool, stats);
+      if (!a.ok()) return a.status();
+      return AnswerBytes(*a);
+    };
+  };
+  using PointQuery = Result<ReachAnswer> (ReachGraphIndex::*)(
+      const ReachQuery&, BufferPool*, QueryStats*) const;
+  const std::vector<std::pair<std::string, Procedure>> procedures = {
+      {"bm-bfs", point(static_cast<PointQuery>(&ReachGraphIndex::QueryBmBfs))},
+      {"b-bfs", point(static_cast<PointQuery>(&ReachGraphIndex::QueryBBfs))},
+      {"e-bfs", point(static_cast<PointQuery>(&ReachGraphIndex::QueryEBfs))},
+      {"e-dfs", point(static_cast<PointQuery>(&ReachGraphIndex::QueryEDfs))},
+      {"set",
+       [&](ReachGraphIndex* index, size_t i, BufferPool* pool,
+           QueryStats* stats) -> Result<std::string> {
+         auto set = index->ReachableSet(queries[i].source, queries[i].interval,
+                                        pool, stats);
+         if (!set.ok()) return set.status();
+         return AnswerBytes(*set);
+       }},
+      {"sets",
+       [&](ReachGraphIndex* index, size_t i, BufferPool* pool,
+           QueryStats* stats) -> Result<std::string> {
+         // Batches of three consecutive sources over the first's window.
+         std::vector<ObjectId> sources;
+         for (size_t k = 0; k < 3; ++k) {
+           sources.push_back(queries[(i + k) % queries.size()].source);
+         }
+         auto sets = index->ReachableSets(sources, queries[i].interval, pool,
+                                          stats);
+         if (!sets.ok()) return sets.status();
+         std::string out;
+         for (const auto& set : *sets) out += AnswerBytes(set);
+         return out;
+       }},
+      {"profile",
+       [&](ReachGraphIndex* index, size_t i, BufferPool* pool,
+           QueryStats* stats) -> Result<std::string> {
+         HopConstraints hops;
+         if (i % 2 == 0) {
+           hops.max_transfers = 2;
+           hops.per_hop_ticks = 40;
+         }
+         auto profile = index->ConstrainedProfile(
+             queries[i].source, queries[i].interval, hops, pool, stats);
+         if (!profile.ok()) return profile.status();
+         return AnswerBytes(*profile);
+       }},
+  };
+
+  std::vector<PinnedRun> observed;
+  for (PageCodecKind codec :
+       {PageCodecKind::kRaw, PageCodecKind::kDeltaVarint}) {
+    ReachGraphOptions options;
+    options.page_size = 512;
+    options.num_shards = 2;
+    options.build.page_codec = codec;
+    auto built = ReachGraphIndex::Build(net, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ReachGraphIndex* index = built->get();
+    for (int depth : {1, 4}) {
+      for (bool hot : {false, true}) {
+        for (const auto& [proc_name, run] : procedures) {
+          std::unique_ptr<BufferPool> pool;
+          if (hot) {
+            pool = std::make_unique<BufferPool>(&index->topology(), 1 << 14);
+            pool->set_page_codec(GetPageCodec(codec));
+          } else {
+            pool = index->NewSessionPool();
+          }
+          pool->set_io_queue_depth(depth);
+          RunRecorder recorder(std::string(ToString(codec)) + "/d" +
+                               std::to_string(depth) +
+                               (hot ? "/hot/" : "/cold/") + proc_name);
+          for (int pass = hot ? 0 : 1; pass < 2; ++pass) {
+            for (size_t i = 0; i < queries.size(); ++i) {
+              if (!hot) pool->Clear();
+              QueryStats stats;
+              auto answer = run(index, i, pool.get(), &stats);
+              ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+              if (pass == 1) recorder.Add(*answer, stats);
+            }
+          }
+          observed.push_back(recorder.Finish());
+        }
+      }
+    }
+  }
+
+  const std::vector<PinnedRun>& pinned = PinnedRuns();
+  for (const PinnedRun& got : observed) {
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "{\"%s\", %.17g, %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  ", 0x%08" PRIx32 "},",
+                  got.name.c_str(), got.io_cost, got.pages, got.hits,
+                  got.items, got.digest);
+    auto it = std::find_if(
+        pinned.begin(), pinned.end(),
+        [&](const PinnedRun& p) { return p.name == got.name; });
+    if (it == pinned.end()) {
+      ADD_FAILURE() << "no pinned run: " << line;
+      continue;
+    }
+    EXPECT_EQ(got.io_cost, it->io_cost) << line;
+    EXPECT_EQ(got.pages, it->pages) << line;
+    EXPECT_EQ(got.hits, it->hits) << line;
+    EXPECT_EQ(got.items, it->items) << line;
+    EXPECT_EQ(got.digest, it->digest) << line;
+  }
+  EXPECT_EQ(observed.size(), pinned.size());
 }
 
 }  // namespace
