@@ -16,9 +16,10 @@ namespace streach {
 /// Construct at the top of a query; it snapshots the buffer pool's
 /// hit/miss counters and IO stats and starts a stopwatch. `Finish()` (or
 /// destruction) writes the deltas — normalized IO cost, pages fetched,
-/// pool hits, CPU seconds, items visited — into the caller-provided
-/// `QueryStats`. This replaces the BeginQuery/EndQuery bookkeeping that
-/// used to be copy-pasted across ReachGrid, ReachGraph, SPJ and GRAIL.
+/// pool hits, decoded-record hits, CPU seconds, items visited — into the
+/// caller-provided `QueryStats`. This replaces the BeginQuery/EndQuery
+/// bookkeeping that used to be copy-pasted across ReachGrid, ReachGraph,
+/// SPJ and GRAIL.
 ///
 /// Pass `pool == nullptr` for memory-resident evaluators (brute force,
 /// GRAIL-in-memory): IO fields stay zero and only CPU time and visit
@@ -31,6 +32,7 @@ class QueryScope {
       io_before_ = pool_->io_stats();
       hits_before_ = pool_->hits();
       misses_before_ = pool_->misses();
+      decoded_hits_before_ = pool_->decoded_hits();
     }
   }
 
@@ -55,6 +57,7 @@ class QueryScope {
       out_->io_cost = delta.NormalizedReadCost();
       out_->pages_fetched = pool_->misses() - misses_before_;
       out_->pool_hits = pool_->hits() - hits_before_;
+      out_->decoded_hits = pool_->decoded_hits() - decoded_hits_before_;
     }
   }
 
@@ -65,6 +68,7 @@ class QueryScope {
   IoStats io_before_;
   uint64_t hits_before_ = 0;
   uint64_t misses_before_ = 0;
+  uint64_t decoded_hits_before_ = 0;
   uint64_t items_visited_ = 0;
   bool finished_ = false;
 };

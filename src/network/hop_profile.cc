@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <unordered_map>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "network/union_find.h"
 
@@ -64,52 +67,155 @@ Result<std::vector<ReachProfileEntry>> DriveHopLevels(
   return profile;
 }
 
-std::vector<ReachProfileEntry> ComputeHopProfile(
-    size_t num_objects, ObjectId source, TimeInterval window,
-    const HopConstraints& hops,
-    const std::function<const std::vector<std::pair<ObjectId, ObjectId>>&(
-        Timestamp)>& pairs_at) {
-  UnionFind uf(num_objects);
-  std::vector<uint32_t> stamp(num_objects, 0);
-  uint32_t tick_stamp = 0;
-  std::vector<ObjectId> touched;
+namespace {
 
-  auto sweep = [&](const std::vector<Timestamp>& prev,
-                   std::vector<Timestamp>* next) -> Status {
+using PairsAtFn =
+    std::function<const std::vector<std::pair<ObjectId, ObjectId>>&(
+        Timestamp)>;
+
+/// The snapshot components of every tick of a window. They do not depend
+/// on the transfer level, so a profile builds them once. Each component
+/// of each tick is one run of member ids; every object also lists the
+/// runs it belongs to, in ascending tick order, so a level visits only
+/// the runs its carriers sit in.
+class SnapshotComponents {
+ public:
+  SnapshotComponents(size_t num_objects, TimeInterval window,
+                     const PairsAtFn& pairs_at)
+      : object_begin_(num_objects + 1, 0) {
+    constexpr uint32_t kNoRun = std::numeric_limits<uint32_t>::max();
+    UnionFind uf(num_objects);
+    std::vector<uint32_t> run_of_root(num_objects, kNoRun);
+    std::vector<uint8_t> seen(num_objects, 0);
+    std::vector<ObjectId> touched;
+    std::vector<uint32_t> run_of;  // Per touched object: its tick-local run.
+    std::vector<uint32_t> fill;
+    run_begin_.push_back(0);
     for (Timestamp t = window.start; t <= window.end; ++t) {
       const auto& pairs = pairs_at(t);
       if (pairs.empty()) continue;
-      uf.Reset();
-      for (const auto& pair : pairs) uf.Union(pair.first, pair.second);
-      // Per component: how many eligible carriers it holds (saturated at
-      // 2) and, when exactly one, which — a member may only be labeled by
-      // a carrier other than itself.
-      std::unordered_map<uint32_t, std::pair<int, ObjectId>> carriers;
-      ++tick_stamp;
       touched.clear();
-      for (const auto& pair : pairs) {
-        for (ObjectId o : {pair.first, pair.second}) {
-          if (stamp[o] == tick_stamp) continue;
-          stamp[o] = tick_stamp;
+      for (const auto& [a, b] : pairs) {
+        uf.Union(a, b);  // Checks both ids against num_objects.
+        for (ObjectId o : {a, b}) {
+          if (seen[o]) continue;
+          seen[o] = 1;
           touched.push_back(o);
-          if (!HopEligible(prev[o], t, hops.per_hop_ticks)) continue;
-          auto [it, inserted] = carriers.emplace(uf.Find(o),
-                                                 std::make_pair(1, o));
-          if (!inserted && it->second.second != o) it->second.first = 2;
         }
       }
-      for (ObjectId o : touched) {
-        if ((*next)[o] != kInvalidTime) continue;  // Ticks ascend: min wins.
-        auto it = carriers.find(uf.Find(o));
-        if (it == carriers.end()) continue;
-        if (it->second.first >= 2 || it->second.second != o) (*next)[o] = t;
+      // Number this tick's components, size their runs, then place each
+      // member into its run (a counting sort by component).
+      fill.clear();
+      run_of.resize(touched.size());
+      for (size_t i = 0; i < touched.size(); ++i) {
+        uint32_t& run = run_of_root[uf.Find(touched[i])];
+        if (run == kNoRun) {
+          run = static_cast<uint32_t>(fill.size());
+          fill.push_back(0);
+        }
+        run_of[i] = run;
+        ++fill[run];
+      }
+      uint32_t offset = static_cast<uint32_t>(members_.size());
+      for (uint32_t& slot : fill) {
+        const uint32_t size = slot;
+        slot = offset;
+        offset += size;
+        run_begin_.push_back(offset);
+        run_tick_.push_back(t);
+      }
+      members_.resize(offset);
+      // Place, then undo only what this tick touched (every root is a
+      // touched object): O(pairs), not O(num_objects).
+      for (size_t i = 0; i < touched.size(); ++i) {
+        const ObjectId o = touched[i];
+        members_[fill[run_of[i]]++] = o;
+        ++object_begin_[o + 1];
+        run_of_root[o] = kNoRun;
+        seen[o] = 0;
+        uf.ResetOne(o);
       }
     }
+    // Invert: runs are numbered in tick order, so each object's list
+    // comes out ascending by tick.
+    for (size_t o = 0; o < num_objects; ++o) {
+      object_begin_[o + 1] += object_begin_[o];
+    }
+    runs_of_.resize(members_.size());
+    fill.assign(object_begin_.begin(), object_begin_.end() - 1);
+    for (uint32_t r = 0; r < run_tick_.size(); ++r) {
+      for (uint32_t i = run_begin_[r]; i < run_begin_[r + 1]; ++i) {
+        runs_of_[fill[members_[i]]++] = r;
+      }
+    }
+    carriers_.assign(run_tick_.size(), 0);
+    carrier_.resize(run_tick_.size());
+  }
+
+  /// One E-column step: every component holding an eligible carrier
+  /// labels its members other than that carrier at its tick (the min over
+  /// ticks wins).
+  void Sweep(const std::vector<Timestamp>& prev, Timestamp per_hop_ticks,
+             std::vector<Timestamp>* next) {
+    // Per run: eligible carriers (saturated at 2) and, when exactly one,
+    // which — a member may only be labeled by a carrier other than itself.
+    marked_.clear();
+    for (ObjectId o = 0; o + 1 < object_begin_.size(); ++o) {
+      const Timestamp arrival = prev[o];
+      if (arrival == kInvalidTime) continue;
+      const uint32_t* first = runs_of_.data() + object_begin_[o];
+      const uint32_t* last = runs_of_.data() + object_begin_[o + 1];
+      const uint32_t* r = std::partition_point(
+          first, last, [&](uint32_t run) { return run_tick_[run] < arrival; });
+      for (; r != last && HopEligible(arrival, run_tick_[*r], per_hop_ticks);
+           ++r) {
+        uint8_t& count = carriers_[*r];
+        if (count == 0) {
+          marked_.push_back(*r);
+          carrier_[*r] = o;
+        }
+        count = count == 0 ? 1 : 2;
+      }
+    }
+    for (const uint32_t r : marked_) {
+      const Timestamp t = run_tick_[r];
+      for (uint32_t i = run_begin_[r]; i < run_begin_[r + 1]; ++i) {
+        const ObjectId m = members_[i];
+        if (carriers_[r] == 1 && m == carrier_[r]) continue;
+        Timestamp& label = (*next)[m];
+        if (label == kInvalidTime || t < label) label = t;
+      }
+      carriers_[r] = 0;
+    }
+  }
+
+ private:
+  // Run r: members_[run_begin_[r], run_begin_[r + 1]) at tick run_tick_[r].
+  std::vector<ObjectId> members_;
+  std::vector<uint32_t> run_begin_;
+  std::vector<Timestamp> run_tick_;
+  // Object o's runs: runs_of_[object_begin_[o], object_begin_[o + 1]).
+  std::vector<uint32_t> object_begin_;
+  std::vector<uint32_t> runs_of_;
+  // Per-level scratch, indexed by run; all zero between levels.
+  std::vector<uint8_t> carriers_;
+  std::vector<ObjectId> carrier_;
+  std::vector<uint32_t> marked_;
+};
+
+}  // namespace
+
+std::vector<ReachProfileEntry> ComputeHopProfile(
+    size_t num_objects, ObjectId source, TimeInterval window,
+    const HopConstraints& hops, const PairsAtFn& pairs_at) {
+  std::optional<SnapshotComponents> components;  // Built on the first level.
+  auto sweep = [&](const std::vector<Timestamp>& prev,
+                   std::vector<Timestamp>* next) -> Status {
+    if (!components) components.emplace(num_objects, window, pairs_at);
+    components->Sweep(prev, hops.per_hop_ticks, next);
     return Status::OK();
   };
-
-  auto profile =
-      DriveHopLevels(num_objects, source, window, hops, sweep);
+  auto profile = DriveHopLevels(num_objects, source, window, hops, sweep);
   return std::move(profile).ValueOrDie();  // The sweep never fails.
 }
 

@@ -78,11 +78,14 @@ Result<std::vector<ReachProfileEntry>> DriveHopLevels(
     size_t num_objects, ObjectId source, TimeInterval window,
     const HopConstraints& hops, const LevelSweepFn& level_sweep);
 
-/// Reference kernel over materialized per-tick contact pairs: runs
-/// `DriveHopLevels` with a one-column step that union-finds the pairs of
-/// every tick in `window` and labels component members that sit with an
-/// eligible carrier other than themselves. `pairs_at(t)` must return the
-/// active contact pairs at tick `t` (empty outside the data span).
+/// Reference kernel over materialized per-tick contact pairs: union-finds
+/// the pairs of every tick in `window` once into dense per-component
+/// member runs, then runs `DriveHopLevels` with a one-column step that
+/// counts each eligible carrier into the runs it sits in and labels the
+/// members of every run holding a carrier other than themselves.
+/// `pairs_at(t)` must return the active contact pairs at tick `t` (empty
+/// outside the data span); it is called once per tick, on the first
+/// level, and never when the driver evaluates no level.
 /// This is the semantics ground truth; IO-backed indexes implement the
 /// same step over their own storage layout.
 std::vector<ReachProfileEntry> ComputeHopProfile(

@@ -54,6 +54,15 @@ class UnionFind {
     std::fill(size_.begin(), size_.end(), 1u);
   }
 
+  /// Makes x a singleton again without touching any other element. Only
+  /// sound once every element of x's set is being reset the same way
+  /// (e.g. undoing one batch of unions element by element).
+  void ResetOne(uint32_t x) {
+    STREACH_CHECK_LT(x, parent_.size());
+    parent_[x] = x;
+    size_[x] = 1;
+  }
+
  private:
   std::vector<uint32_t> parent_;
   std::vector<uint32_t> size_;

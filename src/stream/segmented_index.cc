@@ -4,10 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <queue>
+#include <functional>
 #include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -45,58 +44,68 @@ struct QuarantineRegistry {
   }
 };
 
-/// One unit of the cross-segment closure: the contacts a single segment
-/// (sealed or head) contributes to the query interval, with an
-/// object -> contact-index adjacency for the sweep.
-struct SweepUnit {
-  uint64_t ordinal = 0;  // Seal id; the head sorts after every seal.
-  TimeInterval cover;
-  std::vector<Contact> contacts;
-  std::unordered_map<ObjectId, std::vector<uint32_t>> adjacency;
+/// The loaded contacts as compressed sparse rows, object -> incident
+/// contact with its validity already clamped to the query window (never
+/// empty: every loaded contact overlaps the window): the edges of object
+/// o are `edges[offsets[o], offsets[o + 1])`.
+struct ContactAdjacency {
+  struct Edge {
+    ObjectId other;
+    Timestamp start;
+    Timestamp end;
+  };
+  std::vector<uint32_t> offsets;
+  std::vector<Edge> edges;
+
+  ContactAdjacency(size_t num_objects, const std::vector<Contact>& contacts,
+                   TimeInterval w)
+      : offsets(num_objects + 1, 0), edges(2 * contacts.size()) {
+    for (const Contact& c : contacts) {
+      ++offsets[c.a + 1];
+      ++offsets[c.b + 1];
+    }
+    for (size_t o = 0; o < num_objects; ++o) offsets[o + 1] += offsets[o];
+    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    for (const Contact& c : contacts) {
+      const Timestamp start = std::max(c.validity.start, w.start);
+      const Timestamp end = std::min(c.validity.end, w.end);
+      edges[fill[c.a]++] = {c.b, start, end};
+      edges[fill[c.b]++] = {c.a, start, end};
+    }
+  }
 };
 
-void BuildAdjacency(SweepUnit* unit) {
-  for (uint32_t e = 0; e < unit->contacts.size(); ++e) {
-    const Contact& c = unit->contacts[e];
-    unit->adjacency[c.a].push_back(e);
-    unit->adjacency[c.b].push_back(e);
-  }
-}
-
-/// One temporal-Dijkstra pass over a unit, clamped to `w`. `times` is
-/// the global infection front (kInvalidTime = uninfected); the pass
-/// relaxes it in place and reports whether anything improved. Equal
-/// arrival times chain within the pass, so a whole same-tick contact
-/// component infects together — the brute-force oracle's per-tick
-/// union-find semantics (§3.2).
-bool SweepOnce(const SweepUnit& unit, TimeInterval w,
-               std::vector<Timestamp>* times) {
+/// One temporal-Dijkstra pass from `source` over every loaded contact.
+/// `times` (all kInvalidTime = uninfected) receives each object's earliest
+/// infection time. Equal arrival times chain within the pass, so a whole
+/// same-tick contact component infects together — the brute-force
+/// oracle's per-tick union-find semantics (§3.2). `heap` is scratch.
+void EarliestArrivals(const ContactAdjacency& adjacency, ObjectId source,
+                      Timestamp start,
+                      std::vector<std::pair<Timestamp, ObjectId>>* heap,
+                      std::vector<Timestamp>* times) {
   using Item = std::pair<Timestamp, ObjectId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-  for (const auto& [object, edges] : unit.adjacency) {
-    const Timestamp t = (*times)[object];
-    if (t != kInvalidTime) heap.push({t, object});
-  }
-  bool improved = false;
-  while (!heap.empty()) {
-    const auto [t, object] = heap.top();
-    heap.pop();
+  const auto later = std::greater<Item>();
+  (*times)[source] = start;
+  heap->assign(1, {start, source});
+  while (!heap->empty()) {
+    std::pop_heap(heap->begin(), heap->end(), later);
+    const auto [t, object] = heap->back();
+    heap->pop_back();
     if (t != (*times)[object]) continue;  // Superseded by a better time.
-    for (const uint32_t e : unit.adjacency.at(object)) {
-      const Contact& c = unit.contacts[e];
-      const Timestamp clamped_start = std::max(c.validity.start, w.start);
-      const Timestamp clamped_end = std::min(c.validity.end, w.end);
-      if (clamped_start > clamped_end || t > clamped_end) continue;
-      const Timestamp arrival = std::max(t, clamped_start);
-      Timestamp& partner = (*times)[c.Other(object)];
+    for (uint32_t e = adjacency.offsets[object];
+         e < adjacency.offsets[object + 1]; ++e) {
+      const ContactAdjacency::Edge& edge = adjacency.edges[e];
+      if (t > edge.end) continue;
+      const Timestamp arrival = std::max(t, edge.start);
+      Timestamp& partner = (*times)[edge.other];
       if (partner == kInvalidTime || arrival < partner) {
         partner = arrival;
-        improved = true;
-        heap.push({arrival, c.Other(object)});
+        heap->push_back({arrival, edge.other});
+        std::push_heap(heap->begin(), heap->end(), later);
       }
     }
   }
-  return improved;
 }
 
 /// \brief The `ReachabilityIndex` session over a live ingestor (see
@@ -105,7 +114,10 @@ class SegmentedIndex final : public ReachabilityIndex {
  public:
   SegmentedIndex(std::shared_ptr<const StreamingIngestor> ingestor,
                  std::shared_ptr<QuarantineRegistry> quarantine)
-      : ingestor_(std::move(ingestor)), quarantine_(std::move(quarantine)) {}
+      : ingestor_(std::move(ingestor)),
+        quarantine_(std::move(quarantine)),
+        shard_totals_(
+            static_cast<size_t>(ingestor_->options().num_shards)) {}
 
   Result<ReachAnswer> Query(const ReachQuery& query) override {
     // Mirrors the brute-force oracle case for case: a self-query is
@@ -140,22 +152,7 @@ class SegmentedIndex final : public ReachabilityIndex {
   Result<std::vector<std::vector<Timestamp>>> ReachableSets(
       const std::vector<ObjectId>& sources, TimeInterval interval) override {
     Stopwatch watch;
-    stats_ = QueryStats{};
-    // Multi-pool accounting: one pool per sealed segment, some possibly
-    // created mid-query (first touch of a segment). Snapshot the
-    // existing pools' counters; a pool absent from the snapshot
-    // contributes its full totals — it did not exist before this query.
-    struct Before {
-      IoStats io;
-      uint64_t hits = 0;
-      uint64_t misses = 0;
-    };
-    std::unordered_map<const BufferPool*, Before> before;
-    before.reserve(pools_.size());
-    for (const auto& [id, pool] : pools_) {
-      before[pool.get()] = {pool->io_stats(), pool->hits(), pool->misses()};
-    }
-
+    BeginQuery();
     const size_t num_objects = ingestor_->num_objects();
     const TimeInterval w = interval.Intersect(ingestor_->span());
     std::vector<std::vector<Timestamp>> sets(
@@ -164,52 +161,22 @@ class SegmentedIndex final : public ReachabilityIndex {
     bool degraded = false;
     Status status;
     if (!w.empty()) {
-      std::vector<SweepUnit> units;
-      status = LoadUnits(w, &units, &degraded);
+      std::vector<Contact> contacts;
+      status = LoadUnits(w, &contacts, &degraded);
       if (status.ok()) {
-        for (const SweepUnit& unit : units) visited += unit.contacts.size();
+        visited = contacts.size();
+        // Every run is wholly owned by one unit, so one pass over the
+        // union of all units is exact: no per-unit rounds are needed to
+        // carry infection across seal boundaries, in either direction.
+        const ContactAdjacency adjacency(num_objects, contacts, w);
+        std::vector<std::pair<Timestamp, ObjectId>> heap;
         for (size_t i = 0; i < sources.size(); ++i) {
           if (sources[i] >= num_objects) continue;
-          std::vector<Timestamp>& times = sets[i];
-          times[sources[i]] = w.start;
-          // Bounded fixpoint: sweep the units (ascending cover, head
-          // last) until no infection time improves. A run crossing a
-          // seal boundary lives in the later unit, so infection flows
-          // backward across the cut on the next round; times only
-          // decrease over a finite lattice, so this terminates.
-          bool changed = true;
-          while (changed) {
-            changed = false;
-            for (const SweepUnit& unit : units) {
-              changed |= SweepOnce(unit, w, &times);
-            }
-          }
+          EarliestArrivals(adjacency, sources[i], w.start, &heap, &sets[i]);
         }
       }
     }
-
-    // Finalized even on error so partially accounted IO is visible.
-    IoStats io;
-    uint64_t pages = 0;
-    uint64_t hits = 0;
-    for (const auto& [id, pool] : pools_) {
-      const auto it = before.find(pool.get());
-      if (it == before.end()) {
-        io += pool->io_stats();
-        pages += pool->misses();
-        hits += pool->hits();
-      } else {
-        io += pool->io_stats() - it->second.io;
-        pages += pool->misses() - it->second.misses;
-        hits += pool->hits() - it->second.hits;
-      }
-    }
-    stats_.io_cost = io.NormalizedReadCost();
-    stats_.pages_fetched = pages;
-    stats_.pool_hits = hits;
-    stats_.items_visited = visited;
-    stats_.cpu_seconds = watch.ElapsedSeconds();
-    stats_.degraded = degraded;
+    FinishQuery(watch, visited, degraded);
     if (!status.ok()) return status;
     return sets;
   }
@@ -218,18 +185,7 @@ class SegmentedIndex final : public ReachabilityIndex {
       ObjectId source, TimeInterval interval,
       const HopConstraints& hops) override {
     Stopwatch watch;
-    stats_ = QueryStats{};
-    struct Before {
-      IoStats io;
-      uint64_t hits = 0;
-      uint64_t misses = 0;
-    };
-    std::unordered_map<const BufferPool*, Before> before;
-    before.reserve(pools_.size());
-    for (const auto& [id, pool] : pools_) {
-      before[pool.get()] = {pool->io_stats(), pool->hits(), pool->misses()};
-    }
-
+    BeginQuery();
     const size_t num_objects = ingestor_->num_objects();
     const TimeInterval w = interval.Intersect(ingestor_->span());
     std::vector<ReachProfileEntry> profile(num_objects);
@@ -237,26 +193,24 @@ class SegmentedIndex final : public ReachabilityIndex {
     bool degraded = false;
     Status status;
     if (!w.empty() && source < num_objects) {
-      std::vector<SweepUnit> units;
-      status = LoadUnits(w, &units, &degraded);
+      std::vector<Contact> contacts;
+      status = LoadUnits(w, &contacts, &degraded);
       if (status.ok()) {
+        visited = contacts.size();
         // The transfer-level recursion needs the per-tick snapshot
         // components of the WHOLE stream — a same-tick chain may cross
-        // units (conduit in one segment, carrier in another), so per-unit
-        // relaxation cannot see it. Materialize every unit's contacts
-        // into one per-tick pair table, then run the shared kernel; the
-        // table is independent of the seal schedule, which is what keeps
-        // streaming answers byte-identical to a one-shot batch build.
+        // units (conduit in one segment, carrier in another). Materialize
+        // every unit's contacts into one per-tick pair table, then run the
+        // shared kernel; the table is independent of the seal schedule,
+        // which is what keeps streaming answers byte-identical to a
+        // one-shot batch build.
         std::vector<std::vector<std::pair<ObjectId, ObjectId>>> tick_pairs(
             static_cast<size_t>(w.length()));
-        for (const SweepUnit& unit : units) {
-          visited += unit.contacts.size();
-          for (const Contact& c : unit.contacts) {
-            const TimeInterval v = c.validity.Intersect(w);
-            for (Timestamp t = v.start; t <= v.end; ++t) {
-              tick_pairs[static_cast<size_t>(t - w.start)].emplace_back(c.a,
-                                                                        c.b);
-            }
+        for (const Contact& c : contacts) {
+          const TimeInterval v = c.validity.Intersect(w);
+          for (Timestamp t = v.start; t <= v.end; ++t) {
+            tick_pairs[static_cast<size_t>(t - w.start)].emplace_back(c.a,
+                                                                      c.b);
           }
         }
         profile = ComputeHopProfile(
@@ -267,28 +221,7 @@ class SegmentedIndex final : public ReachabilityIndex {
             });
       }
     }
-
-    IoStats io;
-    uint64_t pages = 0;
-    uint64_t hits = 0;
-    for (const auto& [id, pool] : pools_) {
-      const auto it = before.find(pool.get());
-      if (it == before.end()) {
-        io += pool->io_stats();
-        pages += pool->misses();
-        hits += pool->hits();
-      } else {
-        io += pool->io_stats() - it->second.io;
-        pages += pool->misses() - it->second.misses;
-        hits += pool->hits() - it->second.hits;
-      }
-    }
-    stats_.io_cost = io.NormalizedReadCost();
-    stats_.pages_fetched = pages;
-    stats_.pool_hits = hits;
-    stats_.items_visited = visited;
-    stats_.cpu_seconds = watch.ElapsedSeconds();
-    stats_.degraded = degraded;
+    FinishQuery(watch, visited, degraded);
     if (!status.ok()) return status;
     return profile;
   }
@@ -296,20 +229,20 @@ class SegmentedIndex final : public ReachabilityIndex {
   const QueryStats& last_query_stats() const override { return stats_; }
 
   void ClearCache() override {
-    for (const auto& [id, pool] : pools_) pool->Clear();
+    for (auto& [id, slot] : pools_) slot.pool->Clear();
   }
 
   void SetIoQueueDepth(int depth) override {
     io_queue_depth_ = std::max(depth, 1);
-    for (const auto& [id, pool] : pools_) {
-      pool->set_io_queue_depth(io_queue_depth_);
+    for (auto& [id, slot] : pools_) {
+      slot.pool->set_io_queue_depth(io_queue_depth_);
     }
   }
 
   void SetMaxReadRetries(int retries) override {
     max_read_retries_ = std::max(retries, 0);
-    for (const auto& [id, pool] : pools_) {
-      pool->set_max_read_retries(max_read_retries_);
+    for (auto& [id, slot] : pools_) {
+      slot.pool->set_max_read_retries(max_read_retries_);
     }
   }
 
@@ -327,16 +260,11 @@ class SegmentedIndex final : public ReachabilityIndex {
     return ingestor_->options().build.page_codec;
   }
 
+  /// The running total of every query's per-shard deltas: IO happens
+  /// only inside queries, so this equals what all pools ever read, without
+  /// walking them.
   std::vector<IoStats> shard_io_stats() const override {
-    std::vector<IoStats> total(
-        static_cast<size_t>(ingestor_->options().num_shards));
-    for (const auto& [id, pool] : pools_) {
-      const std::vector<IoStats> per_shard = pool->PerShardIoStats();
-      for (size_t s = 0; s < per_shard.size() && s < total.size(); ++s) {
-        total[s] += per_shard[s];
-      }
-    }
-    return total;
+    return shard_totals_;
   }
 
   std::string DescribeIndex() const override {
@@ -352,19 +280,19 @@ class SegmentedIndex final : public ReachabilityIndex {
   }
 
  private:
-  /// Snapshots the ingestor and loads every overlapping unit's contacts:
-  /// sealed segments in ascending (cover start, seal id), the head last.
-  /// Segments that fail verification (`Corruption` from the read path —
-  /// a blob or page checksum mismatch) are quarantined for every session
-  /// sharing this backend; already-quarantined segments are never read.
-  /// Under degraded serving an unreadable segment is skipped and
-  /// `*degraded` is set; otherwise the query fails with the Corruption.
-  /// Non-Corruption errors (e.g. an unmasked transient fault) propagate
-  /// without quarantining — the segment's media may be fine.
-  Status LoadUnits(TimeInterval w, std::vector<SweepUnit>* units,
+  /// Snapshots the ingestor and appends every overlapping unit's
+  /// contacts to `*contacts`: each sealed segment's overlapping runs, then
+  /// the head's. Segments that fail verification (`Corruption` from the
+  /// read path — a blob or page checksum mismatch) are quarantined for
+  /// every session sharing this backend; already-quarantined segments are
+  /// never read. Under degraded serving an unreadable segment is skipped
+  /// (nothing it partially decoded is kept) and `*degraded` is set;
+  /// otherwise the query fails with the Corruption. Non-Corruption errors
+  /// (e.g. an unmasked transient fault) propagate without quarantining —
+  /// the segment's media may be fine.
+  Status LoadUnits(TimeInterval w, std::vector<Contact>* contacts,
                    bool* degraded) {
     StreamingIngestor::Snapshot snapshot = ingestor_->SnapshotFor(w);
-    units->reserve(snapshot.segments.size() + 1);
     for (const auto& segment : snapshot.segments) {
       if (quarantine_->Contains(segment->id())) {
         if (!degraded_serving_) {
@@ -375,53 +303,95 @@ class SegmentedIndex final : public ReachabilityIndex {
         *degraded = true;
         continue;
       }
-      SweepUnit unit;
-      unit.ordinal = segment->id();
-      unit.cover = segment->cover();
+      const size_t loaded = contacts->size();
       const Status status =
-          segment->LoadOverlapping(w, PoolFor(*segment), &unit.contacts);
+          segment->LoadOverlapping(w, PoolFor(*segment), contacts);
       if (!status.ok()) {
+        contacts->resize(loaded);
         if (!status.IsCorruption()) return status;
         quarantine_->Add(segment->id());
         if (!degraded_serving_) return status;
         *degraded = true;
         continue;
       }
-      if (!unit.contacts.empty()) units->push_back(std::move(unit));
     }
-    std::sort(units->begin(), units->end(),
-              [](const SweepUnit& x, const SweepUnit& y) {
-                return std::tie(x.cover.start, x.ordinal) <
-                       std::tie(y.cover.start, y.ordinal);
-              });
-    if (!snapshot.head.empty()) {
-      SweepUnit unit;
-      unit.contacts = std::move(snapshot.head);
-      units->push_back(std::move(unit));
-    }
-    for (SweepUnit& unit : *units) BuildAdjacency(&unit);
+    contacts->insert(contacts->end(), snapshot.head.begin(),
+                     snapshot.head.end());
     return Status::OK();
   }
 
+  /// A session pool over one sealed segment, with the counters it had
+  /// when the current query first touched it.
+  struct SegmentPool {
+    std::unique_ptr<BufferPool> pool;
+    uint64_t query = 0;  // The last query that touched the pool.
+    std::vector<IoStats> shards_before;
+    uint64_t hits_before = 0;
+    uint64_t misses_before = 0;
+    uint64_t decoded_hits_before = 0;
+  };
+
   /// This session's pool over one sealed segment, created on first
-  /// touch. Seal ids are unique and never reused, so the key is stable.
+  /// touch; the first touch within a query snapshots its counters. Seal
+  /// ids are unique and never reused, so the key is stable.
   BufferPool* PoolFor(const SealedSegment& segment) {
-    auto it = pools_.find(segment.id());
-    if (it == pools_.end()) {
-      it = pools_
-               .emplace(segment.id(),
-                        segment.NewPool(
-                            ingestor_->options().buffer_pool_pages,
-                            io_queue_depth_))
-               .first;
-      it->second->set_max_read_retries(max_read_retries_);
+    auto [it, created] = pools_.try_emplace(segment.id());
+    SegmentPool& slot = it->second;
+    if (created) {
+      slot.pool = segment.NewPool(ingestor_->options().buffer_pool_pages,
+                                  io_queue_depth_);
+      slot.pool->set_max_read_retries(max_read_retries_);
     }
-    return it->second.get();
+    if (slot.query != query_) {
+      slot.query = query_;
+      slot.shards_before = slot.pool->PerShardIoStats();
+      slot.hits_before = slot.pool->hits();
+      slot.misses_before = slot.pool->misses();
+      slot.decoded_hits_before = slot.pool->decoded_hits();
+      touched_.push_back(&slot);
+    }
+    return slot.pool.get();
+  }
+
+  /// Opens a query's accounting window: only pools touched from here on
+  /// (`PoolFor`) are read back by `FinishQuery`.
+  void BeginQuery() {
+    stats_ = QueryStats{};
+    touched_.clear();
+    ++query_;
+  }
+
+  /// Writes the query's counters into `stats_` — the deltas of exactly the
+  /// pools it touched — and adds its per-shard IO to the session totals.
+  /// Runs on error paths too, so partially accounted IO stays visible.
+  void FinishQuery(const Stopwatch& watch, uint64_t visited, bool degraded) {
+    IoStats io;
+    for (const SegmentPool* slot : touched_) {
+      const BufferPool& pool = *slot->pool;
+      const std::vector<IoStats> shards = pool.PerShardIoStats();
+      for (size_t s = 0; s < shards.size(); ++s) {
+        const IoStats delta = shards[s] - slot->shards_before[s];
+        io += delta;
+        if (s < shard_totals_.size()) shard_totals_[s] += delta;
+      }
+      stats_.pages_fetched += pool.misses() - slot->misses_before;
+      stats_.pool_hits += pool.hits() - slot->hits_before;
+      stats_.decoded_hits += pool.decoded_hits() - slot->decoded_hits_before;
+    }
+    touched_.clear();
+    stats_.io_cost = io.NormalizedReadCost();
+    stats_.items_visited = visited;
+    stats_.cpu_seconds = watch.ElapsedSeconds();
+    stats_.degraded = degraded;
   }
 
   std::shared_ptr<const StreamingIngestor> ingestor_;
   std::shared_ptr<QuarantineRegistry> quarantine_;
-  std::unordered_map<uint64_t, std::unique_ptr<BufferPool>> pools_;
+  // Node-based: `touched_` points into it across inserts.
+  std::unordered_map<uint64_t, SegmentPool> pools_;
+  std::vector<SegmentPool*> touched_;  // Pools the current query touched.
+  uint64_t query_ = 0;                 // Ordinal of the current query.
+  std::vector<IoStats> shard_totals_;  // Per shard, over all queries.
   QueryStats stats_;
   int io_queue_depth_ = 1;
   int max_read_retries_ = 0;

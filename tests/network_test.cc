@@ -1,15 +1,20 @@
 // Unit and property tests for src/network: ContactNetwork, TEN stats,
-// union-find, and the brute-force reachability oracle (including the
-// paper's Figure 1 worked example and Properties 5.1/5.2).
+// union-find, the brute-force reachability oracle (including the
+// paper's Figure 1 worked example and Properties 5.1/5.2), and the
+// hop-profile kernel against a naive per-level E-table.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "join/contact.h"
 #include "network/brute_force.h"
 #include "network/contact_network.h"
+#include "network/hop_profile.h"
 #include "network/union_find.h"
 
 namespace streach {
@@ -71,6 +76,22 @@ TEST(UnionFindTest, ResetRestoresSingletons) {
   uf.Reset();
   EXPECT_FALSE(uf.Connected(0, 1));
   EXPECT_EQ(uf.SizeOf(2), 1u);
+}
+
+TEST(UnionFindTest, ResetOneUndoesABatchOfUnions) {
+  UnionFind uf(6);
+  uf.Union(4, 5);
+  // Undo the {0,1,2} set element by element; {4,5} is untouched.
+  uf.Union(0, 1);
+  uf.Union(2, 1);
+  for (uint32_t x : {0u, 1u, 2u}) uf.ResetOne(x);
+  for (uint32_t x : {0u, 1u, 2u}) EXPECT_EQ(uf.SizeOf(x), 1u);
+  EXPECT_FALSE(uf.Connected(0, 1));
+  EXPECT_FALSE(uf.Connected(1, 2));
+  EXPECT_TRUE(uf.Connected(4, 5));
+  EXPECT_EQ(uf.SizeOf(5), 2u);
+  EXPECT_TRUE(uf.Union(0, 2));
+  EXPECT_EQ(uf.SizeOf(2), 2u);
 }
 
 TEST(UnionFindTest, TransitiveClosureProperty) {
@@ -244,6 +265,192 @@ TEST(BruteForceTest, MonotoneInInterval) {
         EXPECT_TRUE(!prev || now);
         prev = now;
       }
+    }
+  }
+}
+
+// ------------------------------------------------------------ Hop profile
+
+using TickPairs = std::vector<std::vector<std::pair<ObjectId, ObjectId>>>;
+
+/// The E-table recursion of network/hop_profile.h, written out level by
+/// level with no shortcuts: components by repeated label relaxation over
+/// the tick's pairs, no union-find, no early stop (every level up to the
+/// cap is evaluated). `pairs[t]` holds tick t's pairs, ticks from 0.
+std::vector<ReachProfileEntry> NaiveHopProfile(size_t n, ObjectId source,
+                                               TimeInterval window,
+                                               const HopConstraints& hops,
+                                               const TickPairs& pairs) {
+  std::vector<ReachProfileEntry> profile(n);
+  if (window.empty() || source >= n) return profile;
+  profile[source] = ReachProfileEntry{window.start, 0};
+  const int32_t cap =
+      hops.max_transfers < 0
+          ? static_cast<int32_t>(n - 1)
+          : std::min(hops.max_transfers, static_cast<int32_t>(n - 1));
+  auto eligible = [&](Timestamp arrival, Timestamp t) {
+    return arrival != kInvalidTime && arrival <= t &&
+           (hops.per_hop_ticks < 0 || t - arrival <= hops.per_hop_ticks);
+  };
+  std::vector<Timestamp> prev(n, kInvalidTime);
+  prev[source] = window.start;
+  for (int32_t level = 0; level < cap; ++level) {
+    std::vector<Timestamp> next(n, kInvalidTime);
+    for (Timestamp t = window.start; t <= window.end; ++t) {
+      const auto& tick = pairs[static_cast<size_t>(t)];
+      std::vector<ObjectId> label(n);
+      std::vector<bool> present(n, false);
+      for (ObjectId o = 0; o < n; ++o) label[o] = o;
+      for (const auto& [a, b] : tick) present[a] = present[b] = true;
+      for (bool changed = true; changed;) {
+        changed = false;
+        for (const auto& [a, b] : tick) {
+          const ObjectId low = std::min(label[a], label[b]);
+          if (label[a] != low || label[b] != low) {
+            label[a] = label[b] = low;
+            changed = true;
+          }
+        }
+      }
+      for (ObjectId o = 0; o < n; ++o) {
+        if (!present[o] || next[o] != kInvalidTime) continue;
+        for (ObjectId m = 0; m < n; ++m) {
+          if (m != o && present[m] && label[m] == label[o] &&
+              eligible(prev[m], t)) {
+            next[o] = t;
+            break;
+          }
+        }
+      }
+    }
+    if (hops.per_hop_ticks < 0) {
+      for (ObjectId o = 0; o < n; ++o) {
+        if (prev[o] != kInvalidTime &&
+            (next[o] == kInvalidTime || prev[o] < next[o])) {
+          next[o] = prev[o];
+        }
+      }
+    }
+    for (ObjectId o = 0; o < n; ++o) {
+      if (next[o] == kInvalidTime) continue;
+      ReachProfileEntry& e = profile[o];
+      if (e.infected_at == kInvalidTime || next[o] < e.infected_at) {
+        e.infected_at = next[o];
+      }
+      if (e.transfers < 0) e.transfers = level + 1;
+    }
+    prev = std::move(next);
+  }
+  return profile;
+}
+
+std::vector<ReachProfileEntry> KernelHopProfile(size_t n, ObjectId source,
+                                                TimeInterval window,
+                                                const HopConstraints& hops,
+                                                const TickPairs& pairs) {
+  return ComputeHopProfile(
+      n, source, window, hops,
+      [&pairs](Timestamp t)
+          -> const std::vector<std::pair<ObjectId, ObjectId>>& {
+        return pairs[static_cast<size_t>(t)];
+      });
+}
+
+std::string ProfileString(const std::vector<ReachProfileEntry>& profile) {
+  std::string out;
+  for (const ReachProfileEntry& e : profile) {
+    out += "(" + std::to_string(e.infected_at) + "," +
+           std::to_string(e.transfers) + ")";
+  }
+  return out;
+}
+
+/// Both modes' constraint sets: monotone (no per-hop bound) and strict.
+std::vector<HopConstraints> KernelConstraints() {
+  return {{-1, -1}, {0, -1}, {1, -1}, {2, -1}, {5, -1},
+          {-1, 0},  {1, 0},  {2, 1},  {4, 3},  {-1, 2}};
+}
+
+TEST(HopProfileKernelTest, HandWrittenHostileCases) {
+  constexpr size_t kN = 6;
+  constexpr ObjectId kLast = kN - 1;
+  TickPairs pairs(10);
+  pairs[1] = {{0, 1}, {1, 2}, {2, 3}};  // Same-tick chain.
+  // Ticks 2-3 empty inside the window.
+  pairs[4] = {{3, kLast}, {kLast, kLast}};  // Largest id; a self-pair.
+  pairs[5] = {{4, 4}};  // A component holding only its own member.
+  pairs[6] = {{4, 0}, {1, 2}};
+  pairs[8] = {{2, kLast}, {4, 3}};
+  struct Case {
+    ObjectId source;
+    TimeInterval window;
+  };
+  const std::vector<Case> cases = {
+      {0, TimeInterval(0, 9)},  {0, TimeInterval(1, 1)},
+      {4, TimeInterval(5, 5)},  {4, TimeInterval(4, 9)},
+      {kLast, TimeInterval(2, 9)}, {kLast, TimeInterval(4, 4)},
+      {3, TimeInterval(2, 3)},  {2, TimeInterval(0, 9)},
+      {kN, TimeInterval(0, 9)}, {0, TimeInterval(7, 3)},
+  };
+  for (const Case& c : cases) {
+    for (const HopConstraints& hops : KernelConstraints()) {
+      EXPECT_EQ(ProfileString(KernelHopProfile(kN, c.source, c.window, hops,
+                                               pairs)),
+                ProfileString(
+                    NaiveHopProfile(kN, c.source, c.window, hops, pairs)))
+          << "source " << c.source << " window " << c.window.start << ".."
+          << c.window.end << " hops " << hops.max_transfers << "/"
+          << hops.per_hop_ticks;
+    }
+  }
+  // Spot values: the chain enters every member at tick 1 in one
+  // transfer; the lone self-paired 4 infects nothing at tick 5.
+  const auto chain = KernelHopProfile(kN, 0, TimeInterval(1, 1), {-1, -1},
+                                      pairs);
+  for (ObjectId o : {1u, 2u, 3u}) {
+    EXPECT_EQ(chain[o], (ReachProfileEntry{1, 1})) << o;
+  }
+  const auto alone = KernelHopProfile(kN, 4, TimeInterval(5, 5), {-1, -1},
+                                      pairs);
+  for (ObjectId o = 0; o < kN; ++o) {
+    EXPECT_EQ(alone[o].transfers, o == 4 ? 0 : -1) << o;
+  }
+}
+
+TEST(HopProfileKernelTest, MatchesNaiveETableOnSeededInputs) {
+  Rng rng(2105);
+  for (int round = 0; round < 400; ++round) {
+    const size_t n = 1 + rng.Uniform(9);
+    const Timestamp ticks = static_cast<Timestamp>(1 + rng.Uniform(14));
+    TickPairs pairs(static_cast<size_t>(ticks));
+    for (auto& tick : pairs) {
+      if (rng.Bernoulli(0.3)) continue;  // Empty ticks inside windows.
+      const uint64_t count = rng.Uniform(2 * n + 1);
+      for (uint64_t k = 0; k < count; ++k) {
+        const auto a = static_cast<ObjectId>(rng.Uniform(n));
+        // Chains through the largest id, and the odd self-pair.
+        const auto b = rng.Bernoulli(0.2) ? static_cast<ObjectId>(n - 1)
+                       : rng.Bernoulli(0.1)
+                           ? a
+                           : static_cast<ObjectId>(rng.Uniform(n));
+        tick.emplace_back(a, b);
+      }
+    }
+    const Timestamp lo = static_cast<Timestamp>(rng.Uniform(ticks));
+    // One-tick windows about a quarter of the time.
+    const Timestamp hi =
+        rng.Bernoulli(0.25)
+            ? lo
+            : lo + static_cast<Timestamp>(rng.Uniform(ticks - lo));
+    const TimeInterval window(lo, hi);
+    const auto source = static_cast<ObjectId>(rng.Uniform(n + 1));
+    for (const HopConstraints& hops : KernelConstraints()) {
+      ASSERT_EQ(
+          ProfileString(KernelHopProfile(n, source, window, hops, pairs)),
+          ProfileString(NaiveHopProfile(n, source, window, hops, pairs)))
+          << "round " << round << " n " << n << " source " << source
+          << " window " << lo << ".." << hi << " hops "
+          << hops.max_transfers << "/" << hops.per_hop_ticks;
     }
   }
 }

@@ -723,5 +723,45 @@ TEST(ReachGraphTest, ReadSequenceIsPinned) {
   EXPECT_EQ(observed.size(), pinned.size());
 }
 
+TEST(ReachGraphTest, DecodedRecordHitsAreCountedPerQuery) {
+  // A query served from the pool's decoded-record cache fetches no page
+  // and decodes nothing; only `decoded_hits` tells it from a query that
+  // read nothing at all.
+  const ContactNetwork net = RandomRwpNetwork(131, 60, 200);
+  const ReachQuery query{3, 41, net.span()};
+  for (PageCodecKind codec :
+       {PageCodecKind::kRaw, PageCodecKind::kDeltaVarint}) {
+    ReachGraphOptions options;
+    options.page_size = 512;
+    options.build.page_codec = codec;
+    auto built = ReachGraphIndex::Build(net, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const ReachGraphIndex& index = **built;
+    // A pool (and decoded-record cache) holding the whole index.
+    auto pool = std::make_unique<BufferPool>(&index.topology(), 1 << 14);
+    pool->set_page_codec(GetPageCodec(codec));
+    QueryStats cold;
+    ASSERT_TRUE(index.QueryBmBfs(query, pool.get(), &cold).ok());
+    EXPECT_GT(cold.pages_fetched, 0u) << ToString(codec);
+    EXPECT_GT(cold.items_visited, 0u) << ToString(codec);
+    QueryStats hot;
+    ASSERT_TRUE(index.QueryBmBfs(query, pool.get(), &hot).ok());
+    EXPECT_EQ(hot.items_visited, cold.items_visited) << ToString(codec);
+    if (codec == PageCodecKind::kRaw) {
+      // The raw codec never consults the decoded-record cache.
+      EXPECT_EQ(cold.decoded_hits, 0u);
+      EXPECT_EQ(hot.decoded_hits, 0u);
+      EXPECT_GT(hot.pool_hits, 0u);
+    } else {
+      EXPECT_EQ(hot.pages_fetched, 0u);
+      EXPECT_EQ(hot.pool_hits, 0u);
+      EXPECT_GT(hot.decoded_hits, 0u);
+      EXPECT_NE(hot.ToString().find(" decoded_hits=" +
+                                    std::to_string(hot.decoded_hits)),
+                std::string::npos);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace streach

@@ -363,6 +363,181 @@ TEST(StreamingEquivalence, FixpointFlowsBackwardAcrossSegments) {
   EXPECT_EQ((*set)[2], 12);
 }
 
+/// One step of the pinned accounting script below.
+struct AccountingOp {
+  enum Kind { kQuery, kSet, kSets, kProfile, kClearCache } kind;
+  std::vector<ObjectId> sources;  // kSets uses all; others the first.
+  ObjectId destination = 0;
+  TimeInterval window;
+  HopConstraints hops;
+};
+
+/// Per-query counters expected of one `AccountingOp`.
+struct PinnedStats {
+  double io_cost;
+  uint64_t pages_fetched;
+  uint64_t pool_hits;
+  uint64_t items_visited;
+};
+
+TEST(StreamingAccounting, PerQueryCountersArePinned) {
+  // A long stream (one segment per 3 ticks) read by ONE session with a
+  // fixed script: cold and repeated (hot) windows, a cache clear, batch
+  // closures and hop profiles. Every query's counters, and the session's
+  // cumulative per-shard totals, are pinned to values captured when each
+  // query still diffed every pool the session owned; the per-shard totals
+  // must also equal the sum of the per-query deltas.
+  const std::vector<Contact> contacts = MakeRandomContacts(53, 600);
+  std::vector<Contact> arrivals = contacts;
+  SortBySinkOrder(&arrivals);
+  StreamingOptions options;
+  options.num_objects = kObjects;
+  options.span = kSpan;
+  options.seal_interval_ticks = 3;
+  options.num_shards = 2;
+  options.block_contacts = 4;
+  options.buffer_pool_pages = 2;
+  options.page_size = 64;
+  auto created = StreamingIngestor::Create(options);
+  ASSERT_TRUE(created.ok());
+  std::shared_ptr<StreamingIngestor> ingestor = *created;
+  for (const Contact& c : arrivals) ASSERT_TRUE(ingestor->Append(c).ok());
+  ASSERT_TRUE(ingestor->SealRemaining().ok());
+  ASSERT_GE(ingestor->sealed_segments(), 50u);
+
+  const HopConstraints monotone{3, -1};
+  const HopConstraints strict{4, 6};
+  using Op = AccountingOp;
+  const std::vector<Op> script = {
+      {Op::kSet, {3}, 0, TimeInterval(10, 40), {}},
+      {Op::kSet, {3}, 0, TimeInterval(10, 40), {}},
+      {Op::kQuery, {7}, 21, TimeInterval(30, 90), {}},
+      {Op::kSets, {0, 9, 18, 27}, 0, TimeInterval(60, 75), {}},
+      {Op::kProfile, {5}, 0, TimeInterval(20, 70), monotone},
+      {Op::kProfile, {5}, 0, TimeInterval(20, 70), strict},
+      {Op::kClearCache, {}, 0, TimeInterval(), {}},
+      {Op::kProfile, {5}, 0, TimeInterval(20, 70), strict},
+      {Op::kSet, {12}, 0, kSpan, {}},
+      {Op::kQuery, {4}, 4, TimeInterval(0, 10), {}},
+      {Op::kQuery, {2}, 30, TimeInterval(150, 140), {}},
+      {Op::kSet, {33}, 0, TimeInterval(120, 199), {}},
+      {Op::kProfile, {39}, 0, TimeInterval(100, 180), monotone},
+      {Op::kSets, {1, 2}, 0, TimeInterval(-20, 25), {}},
+      {Op::kClearCache, {}, 0, TimeInterval(), {}},
+      {Op::kSet, {kObjects + 2}, 0, TimeInterval(50, 80), {}},
+      {Op::kQuery, {6}, 38, TimeInterval(5, 195), {}},
+  };
+  const std::vector<PinnedStats> pinned = {
+      {35.25, 59, 0, 106},
+      {27.05, 47, 12, 106},
+      {53.9, 90, 8, 190},
+      {15.6, 27, 4, 56},
+      {43.6, 74, 9, 160},
+      {42.55, 72, 11, 160},
+      {50.7, 83, 0, 160},
+      {168.85, 280, 12, 600},
+      {0, 0, 0, 0},
+      {0, 0, 0, 0},
+      {67.65, 118, 11, 266},
+      {72.85, 127, 12, 277},
+      {24.85, 41, 8, 81},
+      {32.1, 53, 0, 100},
+      {165.7, 274, 9, 581},
+  };
+  // Cumulative (random, sequential) reads per shard after the script.
+  const std::vector<std::pair<uint64_t, uint64_t>> pinned_shards = {
+      {433, 374}, {339, 199}};
+
+  const ContactNetwork network(kObjects, kSpan, contacts);
+  auto index = MakeStreamingBackend(ingestor);
+  std::vector<IoStats> summed(2);
+  size_t q = 0;
+  for (const Op& op : script) {
+    if (op.kind == Op::kClearCache) {
+      index->ClearCache();
+      continue;
+    }
+    const std::vector<IoStats> before = index->shard_io_stats();
+    switch (op.kind) {
+      case Op::kQuery: {
+        auto answer = index->Query({op.sources[0], op.destination, op.window});
+        ASSERT_TRUE(answer.ok());
+        const ReachAnswer expected = BruteForceReach(
+            network, op.sources[0], op.destination, op.window);
+        EXPECT_EQ(answer->reachable, expected.reachable) << q;
+        EXPECT_EQ(answer->arrival_time, expected.arrival_time) << q;
+        break;
+      }
+      case Op::kSet:
+      case Op::kSets: {
+        auto sets = index->ReachableSets(op.sources, op.window);
+        ASSERT_TRUE(sets.ok());
+        for (size_t i = 0; i < op.sources.size(); ++i) {
+          EXPECT_EQ((*sets)[i],
+                    BruteForceClosure(network, op.sources[i], op.window))
+              << q;
+        }
+        break;
+      }
+      case Op::kProfile:
+        ASSERT_TRUE(
+            index->ConstrainedProfile(op.sources[0], op.window, op.hops).ok());
+        break;
+      case Op::kClearCache:
+        break;
+    }
+    const QueryStats& stats = index->last_query_stats();
+    const std::vector<IoStats> after = index->shard_io_stats();
+    ASSERT_EQ(after.size(), 2u);
+    IoStats delta;
+    for (size_t s = 0; s < after.size(); ++s) {
+      delta += after[s] - before[s];
+      summed[s] += after[s] - before[s];
+    }
+    EXPECT_DOUBLE_EQ(delta.NormalizedReadCost(), stats.io_cost) << q;
+    EXPECT_EQ(delta.total_reads(), stats.pages_fetched) << q;
+    ASSERT_LT(q, pinned.size());
+    EXPECT_DOUBLE_EQ(stats.io_cost, pinned[q].io_cost) << q;
+    EXPECT_EQ(stats.pages_fetched, pinned[q].pages_fetched) << q;
+    EXPECT_EQ(stats.pool_hits, pinned[q].pool_hits) << q;
+    EXPECT_EQ(stats.items_visited, pinned[q].items_visited) << q;
+    ++q;
+  }
+  EXPECT_EQ(q, pinned.size());
+  const std::vector<IoStats> totals = index->shard_io_stats();
+  for (size_t s = 0; s < totals.size(); ++s) {
+    EXPECT_EQ(totals[s].random_reads, pinned_shards[s].first) << s;
+    EXPECT_EQ(totals[s].sequential_reads, pinned_shards[s].second) << s;
+    EXPECT_EQ(totals[s].random_reads, summed[s].random_reads);
+    EXPECT_EQ(totals[s].sequential_reads, summed[s].sequential_reads);
+  }
+}
+
+TEST(StreamingAccounting, DecodedRecordHitsAreCounted) {
+  // Under delta-varint a repeated window is served from each segment
+  // pool's decoded-record cache: no page fetch, but decoded hits.
+  const std::vector<Contact> contacts = MakeRandomContacts(59, 300);
+  std::vector<Contact> canonical = contacts;
+  SortBySinkOrder(&canonical);
+  BuildSpec spec;
+  spec.seal_interval = 20;
+  spec.num_shards = 2;
+  spec.codec = PageCodecKind::kDeltaVarint;
+  spec.label = "decoded";
+  auto index = MakeStreamingBackend(BuildIngestor(canonical, spec));
+  const TimeInterval window(30, 130);
+  ASSERT_TRUE(index->ReachableSet(4, window).ok());
+  const QueryStats cold = index->last_query_stats();
+  EXPECT_GT(cold.pages_fetched, 0u);
+  EXPECT_EQ(cold.decoded_hits, 0u);
+  ASSERT_TRUE(index->ConstrainedProfile(4, window, {2, -1}).ok());
+  const QueryStats hot = index->last_query_stats();
+  EXPECT_EQ(hot.pages_fetched, 0u);
+  EXPECT_EQ(hot.pool_hits, 0u);
+  EXPECT_GT(hot.decoded_hits, 0u);
+  EXPECT_EQ(hot.items_visited, cold.items_visited);
+}
+
 TEST(StreamingIngestor, RejectsInvalidAndLateAppends) {
   StreamingOptions options;
   options.num_objects = 10;
