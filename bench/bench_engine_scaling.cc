@@ -284,6 +284,7 @@ void RunClosureCell(benchmark::State& state, const std::string& name,
     auto report =
         engine.RunClosures(backend.get(), sources, ClosureWindow());
     STREACH_CHECK(report.ok());
+    STREACH_CHECK_EQ(report->summary.failed_queries, 0u);
     summary = std::move(report->summary);
   }
   const double per_source =

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -24,6 +25,216 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+/// One worker thread's view of a run: its private session plus the
+/// result-cache handle the item evaluators consult.
+struct Worker {
+  ReachabilityIndex* session = nullptr;
+  /// The engine's result cache, or nullptr when this run does not cache
+  /// (cache disabled, `cold_cache` set, or a backend without an index
+  /// identity).
+  ResultCache* cache = nullptr;
+  std::shared_ptr<const void> identity;
+  /// Cleared once the session reports NotSupported for ReachableSet, so
+  /// the set-cache path is not re-probed on every query of a
+  /// point-query-only backend.
+  bool set_cacheable = false;
+  /// Set by an item served wholly from the result cache: it did no
+  /// backend work, so it reports zeroed stats.
+  bool cache_hit = false;
+};
+
+/// Evaluates work item `i` on the worker's session, writes its answer into
+/// the caller's report, and returns the item's status.
+using EvaluateItem = std::function<Status(size_t i, Worker* worker)>;
+
+/// What the runner produces for every kind of work item: per-item stats
+/// and statuses, and the summary minus the runner-specific
+/// `num_reachable` / `family_counts`.
+struct ItemRun {
+  std::vector<QueryStats> stats;
+  std::vector<Status> statuses;
+  WorkloadSummary summary;
+};
+
+/// The boolean answer `source ~interval~> destination` through the result
+/// cache: a hit answers from the memoized reachable set with no backend
+/// work; a miss materializes the full set with `ReachableSet` and
+/// memoizes it. nullopt when the caller's uncached path must answer
+/// instead: caching is off, or the backend answers point queries only.
+std::optional<Result<ReachAnswer>> CachedPointAnswer(Worker* w,
+                                                     ObjectId source,
+                                                     ObjectId destination,
+                                                     TimeInterval interval) {
+  if (!w->set_cacheable) return std::nullopt;
+  if (ResultCache::SetPtr set = w->cache->Lookup(w->identity, source,
+                                                 interval)) {
+    w->cache_hit = true;
+    return Result<ReachAnswer>(AnswerFromSet(*set, destination));
+  }
+  auto set = w->session->ReachableSet(source, interval);
+  if (!set.ok()) {
+    if (!set.status().IsNotSupported()) {
+      return Result<ReachAnswer>(set.status());
+    }
+    w->set_cacheable = false;  // Point-query-only backend.
+    return std::nullopt;
+  }
+  auto shared =
+      std::make_shared<const std::vector<Timestamp>>(std::move(*set));
+  w->cache->Insert(w->identity, source, interval, shared);
+  return Result<ReachAnswer>(AnswerFromSet(*shared, destination));
+}
+
+/// The one work-item loop behind `Run`, `RunClosures` and `RunFamilies`.
+/// `num_queries` queries are grouped into consecutive work items of
+/// `queries_per_item` (1 except for closure batches); `evaluate` answers
+/// one item. The runner owns everything else: the codec guard, session
+/// minting and options, the thread pool, the per-item cold-cache clear,
+/// latency, status and stats, and the summary with its per-shard IO.
+Result<ItemRun> RunWorkItems(const QueryEngineOptions& options,
+                             ResultCache* result_cache,
+                             ReachabilityIndex* backend, size_t num_queries,
+                             size_t queries_per_item,
+                             const EvaluateItem& evaluate) {
+  STREACH_CHECK(backend != nullptr);
+  // A disk backend decodes with the codec its index was built with; a
+  // run configured for a different codec is a deployment error, not
+  // something to silently paper over.
+  const std::optional<PageCodecKind> backend_codec = backend->page_codec();
+  if (backend_codec.has_value() && *backend_codec != options.page_codec) {
+    return Status::InvalidArgument(
+        std::string("page_codec mismatch: engine configured for ") +
+        ToString(options.page_codec) + ", backend stores " +
+        ToString(*backend_codec));
+  }
+  const size_t n = (num_queries + queries_per_item - 1) / queries_per_item;
+  ItemRun run;
+  run.stats.resize(n);
+  run.statuses.resize(n);
+  std::vector<double> latencies(n, 0.0);
+
+  const int num_threads = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(options.num_threads),
+                       std::max<size_t>(n, 1)));
+
+  // One session per worker. Worker 0 reuses the caller's session, so a
+  // single-threaded run behaves exactly like a hand-written query loop.
+  std::vector<std::unique_ptr<ReachabilityIndex>> extra_sessions;
+  std::vector<ReachabilityIndex*> sessions;
+  sessions.push_back(backend);
+  for (int i = 1; i < num_threads; ++i) {
+    extra_sessions.push_back(backend->NewSession());
+    sessions.push_back(extra_sessions.back().get());
+  }
+  for (ReachabilityIndex* session : sessions) {
+    session->SetIoQueueDepth(options.io_queue_depth);
+    session->SetTraversalThreads(options.traversal_threads);
+    session->SetMaxReadRetries(options.max_read_retries);
+    session->SetDegradedServing(options.degraded_serving);
+  }
+
+  // Per-shard IO is reported as the delta of each session's cumulative
+  // cursors around the run, so prior traffic on a reused session never
+  // leaks into this workload's breakdown.
+  std::vector<std::vector<IoStats>> shard_io_before;
+  shard_io_before.reserve(sessions.size());
+  for (ReachabilityIndex* session : sessions) {
+    shard_io_before.push_back(session->shard_io_stats());
+  }
+  const uint64_t cache_hits_before =
+      result_cache != nullptr ? result_cache->hits() : 0;
+  // cold_cache wins over the result cache: the paper's protocol is
+  // "measure every query cold", and a memoized answer would defeat it.
+  ResultCache* cache = options.cold_cache ? nullptr : result_cache;
+
+  std::atomic<size_t> next{0};
+  auto work = [&](ReachabilityIndex* session) {
+    Worker w;
+    w.session = session;
+    if (cache != nullptr) w.identity = session->IndexIdentity();
+    // Backends without an index identity opt out of caching entirely.
+    if (w.identity != nullptr) w.cache = cache;
+    w.set_cacheable = w.cache != nullptr;
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      if (options.cold_cache) session->ClearCache();
+      w.cache_hit = false;
+      Stopwatch latency;
+      // A failed item keeps its error here; the rest of the workload
+      // keeps going.
+      run.statuses[i] = evaluate(i, &w);
+      run.stats[i] = w.cache_hit ? QueryStats{} : session->last_query_stats();
+      latencies[i] = latency.ElapsedSeconds();
+    }
+  };
+
+  Stopwatch wall;
+  if (num_threads == 1) {
+    work(sessions[0]);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(num_threads));
+    for (int i = 0; i < num_threads; ++i) {
+      threads.emplace_back(work, sessions[static_cast<size_t>(i)]);
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const double wall_seconds = wall.ElapsedSeconds();
+
+  WorkloadSummary& s = run.summary;
+  s.backend = backend->DescribeIndex();
+  s.num_queries = num_queries;
+  s.io_queue_depth = options.io_queue_depth;
+  s.traversal_threads = std::max(options.traversal_threads, 1);
+  s.batch_sources = static_cast<int>(queries_per_item);
+  s.page_codec = ToString(backend_codec.value_or(options.page_codec));
+  s.wall_seconds = wall_seconds;
+  s.queries_per_second =
+      wall_seconds > 0 ? static_cast<double>(num_queries) / wall_seconds
+                       : 0.0;
+  // Cost totals sum one entry per item (a closure batch is one backend
+  // sweep) and the latency distribution is per item; a failed or
+  // degraded item counts every query it covers.
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t covered =
+        std::min(queries_per_item, num_queries - i * queries_per_item);
+    const QueryStats& q = run.stats[i];
+    if (!run.statuses[i].ok()) s.failed_queries += covered;
+    if (q.degraded) s.degraded_queries += covered;
+    s.total_io_cost += q.io_cost;
+    s.total_pages_fetched += q.pages_fetched;
+    s.total_pool_hits += q.pool_hits;
+    s.total_decoded_hits += q.decoded_hits;
+    s.total_items_visited += q.items_visited;
+    s.total_cpu_seconds += q.cpu_seconds;
+    s.mean_latency += latencies[i];
+    s.max_latency = std::max(s.max_latency, latencies[i]);
+  }
+  if (n > 0) s.mean_latency /= static_cast<double>(n);
+  std::sort(latencies.begin(), latencies.end());
+  s.p50_latency = Percentile(latencies, 0.50);
+  s.p95_latency = Percentile(latencies, 0.95);
+  s.p99_latency = Percentile(latencies, 0.99);
+  if (result_cache != nullptr) {
+    s.result_cache_hits = result_cache->hits() - cache_hits_before;
+  }
+  // Per-shard breakdown: delta of every session's cumulative cursors over
+  // the run, summed shard-wise across sessions.
+  for (size_t k = 0; k < sessions.size(); ++k) {
+    const std::vector<IoStats> after = sessions[k]->shard_io_stats();
+    if (after.size() > s.per_shard_io.size()) {
+      s.per_shard_io.resize(after.size());
+    }
+    for (size_t shard = 0; shard < after.size(); ++shard) {
+      IoStats delta = after[shard];
+      if (shard < shard_io_before[k].size()) {
+        delta = delta - shard_io_before[k][shard];
+      }
+      s.per_shard_io[shard] += delta;
+    }
+  }
+  return run;
+}
+
 }  // namespace
 
 std::string WorkloadSummary::ToString() const {
@@ -31,7 +242,8 @@ std::string WorkloadSummary::ToString() const {
   std::snprintf(
       buf, sizeof(buf),
       "%s: %llu queries (%llu reachable) in %.3fs | %.0f q/s | "
-      "io/query=%.2f pages=%llu hits=%llu pool_hit_rate=%.1f%% | "
+      "io/query=%.2f pages=%llu hits=%llu decoded_hits=%llu "
+      "pool_hit_rate=%.1f%% | "
       "latency mean=%.0fus p50=%.0fus p95=%.0fus p99=%.0fus max=%.0fus | "
       "cache_hits=%llu shards=%zu qd=%d tthreads=%d batch=%d "
       "inflight=%.2f codec=%s ratio=%.2f",
@@ -40,6 +252,7 @@ std::string WorkloadSummary::ToString() const {
       queries_per_second, mean_io_cost(),
       static_cast<unsigned long long>(total_pages_fetched),
       static_cast<unsigned long long>(total_pool_hits),
+      static_cast<unsigned long long>(total_decoded_hits),
       100.0 * pool_hit_rate(), mean_latency * 1e6, p50_latency * 1e6,
       p95_latency * 1e6, p99_latency * 1e6, max_latency * 1e6,
       static_cast<unsigned long long>(result_cache_hits),
@@ -86,172 +299,30 @@ QueryEngine::QueryEngine(QueryEngineOptions options)
 
 Result<WorkloadReport> QueryEngine::Run(
     ReachabilityIndex* backend, const std::vector<ReachQuery>& queries) const {
-  STREACH_CHECK(backend != nullptr);
-  // A disk backend decodes with the codec its index was built with; a
-  // run configured for a different codec is a deployment error, not
-  // something to silently paper over.
-  const std::optional<PageCodecKind> backend_codec = backend->page_codec();
-  if (backend_codec.has_value() && *backend_codec != options_.page_codec) {
-    return Status::InvalidArgument(
-        std::string("page_codec mismatch: engine configured for ") +
-        ToString(options_.page_codec) + ", backend stores " +
-        ToString(*backend_codec));
-  }
-  const size_t n = queries.size();
   WorkloadReport report;
-  report.answers.resize(n);
-  report.per_query.resize(n);
-  report.statuses.resize(n);
-  std::vector<double> latencies(n, 0.0);
-
-  const int num_threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(options_.num_threads),
-                       std::max<size_t>(n, 1)));
-
-  // One session per worker. Worker 0 reuses the caller's session, so a
-  // single-threaded run behaves exactly like a hand-written query loop.
-  std::vector<std::unique_ptr<ReachabilityIndex>> extra_sessions;
-  std::vector<ReachabilityIndex*> sessions;
-  sessions.push_back(backend);
-  for (int i = 1; i < num_threads; ++i) {
-    extra_sessions.push_back(backend->NewSession());
-    sessions.push_back(extra_sessions.back().get());
-  }
-  for (ReachabilityIndex* session : sessions) {
-    session->SetIoQueueDepth(options_.io_queue_depth);
-    session->SetTraversalThreads(options_.traversal_threads);
-    session->SetMaxReadRetries(options_.max_read_retries);
-    session->SetDegradedServing(options_.degraded_serving);
-  }
-
-  // Per-shard IO is reported as the delta of each session's cumulative
-  // cursors around the run, so prior traffic on a reused session never
-  // leaks into this workload's breakdown.
-  std::vector<std::vector<IoStats>> shard_io_before;
-  shard_io_before.reserve(sessions.size());
-  for (ReachabilityIndex* session : sessions) {
-    shard_io_before.push_back(session->shard_io_stats());
-  }
-  const uint64_t cache_hits_before =
-      result_cache_ != nullptr ? result_cache_->hits() : 0;
-
-  std::atomic<size_t> next{0};
-
-  auto worker = [&](ReachabilityIndex* session) {
-    const bool cold = options_.cold_cache;
-    // cold_cache wins over the result cache: the paper's protocol is
-    // "measure every query cold", and a memoized answer would defeat it.
-    ResultCache* cache = cold ? nullptr : result_cache_.get();
-    const std::shared_ptr<const void> identity = session->IndexIdentity();
-    // Cleared once a session reports NotSupported for ReachableSet, so
-    // the cache path is not re-probed on every query of such a backend.
-    // Backends without an index identity opt out of caching entirely.
-    bool cacheable = cache != nullptr && identity != nullptr;
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      if (cold) session->ClearCache();
-      const ReachQuery& query = queries[i];
-      Stopwatch latency;
-      bool answered = false;
-      if (cacheable) {
-        if (ResultCache::SetPtr set =
-                cache->Lookup(identity, query.source, query.interval)) {
-          report.answers[i] = AnswerFromSet(*set, query.destination);
-          report.per_query[i] = QueryStats{};  // No backend work done.
-          answered = true;
-        } else {
-          auto set_result =
-              session->ReachableSet(query.source, query.interval);
-          if (set_result.ok()) {
-            auto shared = std::make_shared<const std::vector<Timestamp>>(
-                std::move(*set_result));
-            cache->Insert(identity, query.source, query.interval, shared);
-            report.answers[i] = AnswerFromSet(*shared, query.destination);
-            report.per_query[i] = session->last_query_stats();
-            answered = true;
-          } else if (set_result.status().IsNotSupported()) {
-            cacheable = false;  // Point-query-only backend.
-          } else {
-            // This query failed; the rest of the workload keeps going.
-            report.statuses[i] = set_result.status();
-            report.per_query[i] = session->last_query_stats();
-            answered = true;
-          }
-        }
-      }
-      if (!answered) {
-        auto answer = session->Query(query);
-        if (answer.ok()) {
-          report.answers[i] = *answer;
-        } else {
-          report.statuses[i] = answer.status();
-        }
-        report.per_query[i] = session->last_query_stats();
-      }
-      latencies[i] = latency.ElapsedSeconds();
-    }
-  };
-
-  Stopwatch wall;
-  if (num_threads == 1) {
-    worker(sessions[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker, sessions[static_cast<size_t>(i)]);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const double wall_seconds = wall.ElapsedSeconds();
-
+  report.answers.resize(queries.size());
+  auto run = RunWorkItems(
+      options_, result_cache_.get(), backend, queries.size(), 1,
+      [&](size_t i, Worker* w) -> Status {
+        const ReachQuery& query = queries[i];
+        // Uncached, the point Query stops as soon as the destination is
+        // reached.
+        std::optional<Result<ReachAnswer>> cached = CachedPointAnswer(
+            w, query.source, query.destination, query.interval);
+        Result<ReachAnswer> answer =
+            cached.has_value() ? std::move(*cached) : w->session->Query(query);
+        if (!answer.ok()) return answer.status();
+        report.answers[i] = *answer;
+        return Status::OK();
+      });
+  if (!run.ok()) return run.status();
+  report.per_query = std::move(run->stats);
+  report.statuses = std::move(run->statuses);
+  report.summary = std::move(run->summary);
   WorkloadSummary& s = report.summary;
-  s.backend = backend->DescribeIndex();
-  s.num_queries = n;
-  s.family_counts[static_cast<size_t>(QueryFamily::kBoolean)] = n;
-  s.io_queue_depth = options_.io_queue_depth;
-  s.traversal_threads = std::max(options_.traversal_threads, 1);
-  s.page_codec = ToString(backend_codec.value_or(options_.page_codec));
-  s.wall_seconds = wall_seconds;
-  s.queries_per_second =
-      wall_seconds > 0 ? static_cast<double>(n) / wall_seconds : 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!report.statuses[i].ok()) {
-      ++s.failed_queries;
-    } else if (report.answers[i].reachable) {
-      ++s.num_reachable;
-    }
-    const QueryStats& q = report.per_query[i];
-    if (q.degraded) ++s.degraded_queries;
-    s.total_io_cost += q.io_cost;
-    s.total_pages_fetched += q.pages_fetched;
-    s.total_pool_hits += q.pool_hits;
-    s.total_items_visited += q.items_visited;
-    s.total_cpu_seconds += q.cpu_seconds;
-    s.mean_latency += latencies[i];
-    s.max_latency = std::max(s.max_latency, latencies[i]);
-  }
-  if (n > 0) s.mean_latency /= static_cast<double>(n);
-  std::sort(latencies.begin(), latencies.end());
-  s.p50_latency = Percentile(latencies, 0.50);
-  s.p95_latency = Percentile(latencies, 0.95);
-  s.p99_latency = Percentile(latencies, 0.99);
-  if (result_cache_ != nullptr) {
-    s.result_cache_hits = result_cache_->hits() - cache_hits_before;
-  }
-  // Per-shard breakdown: delta of every session's cumulative cursors over
-  // the run, summed shard-wise across sessions.
-  for (size_t k = 0; k < sessions.size(); ++k) {
-    const std::vector<IoStats> after = sessions[k]->shard_io_stats();
-    if (after.size() > s.per_shard_io.size()) {
-      s.per_shard_io.resize(after.size());
-    }
-    for (size_t shard = 0; shard < after.size(); ++shard) {
-      IoStats delta = after[shard];
-      if (shard < shard_io_before[k].size()) {
-        delta = delta - shard_io_before[k][shard];
-      }
-      s.per_shard_io[shard] += delta;
-    }
+  s.family_counts[static_cast<size_t>(QueryFamily::kBoolean)] = queries.size();
+  for (const ReachAnswer& answer : report.answers) {
+    if (answer.reachable) ++s.num_reachable;
   }
   return report;
 }
@@ -259,140 +330,37 @@ Result<WorkloadReport> QueryEngine::Run(
 Result<ClosureWorkloadReport> QueryEngine::RunClosures(
     ReachabilityIndex* backend, const std::vector<ObjectId>& sources,
     TimeInterval interval) const {
-  STREACH_CHECK(backend != nullptr);
-  const std::optional<PageCodecKind> backend_codec = backend->page_codec();
-  if (backend_codec.has_value() && *backend_codec != options_.page_codec) {
-    return Status::InvalidArgument(
-        std::string("page_codec mismatch: engine configured for ") +
-        ToString(options_.page_codec) + ", backend stores " +
-        ToString(*backend_codec));
-  }
   const size_t n = sources.size();
   const size_t batch =
       static_cast<size_t>(std::max(options_.batch_sources, 1));
-  const size_t num_batches = (n + batch - 1) / batch;
-
   ClosureWorkloadReport report;
   report.sets.resize(n);
-  report.per_batch.resize(num_batches);
-  std::vector<double> latencies(num_batches, 0.0);
-
-  const int num_threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(options_.num_threads),
-                       std::max<size_t>(num_batches, 1)));
-
-  // Sessions mirror Run(): worker 0 reuses the caller's session so a
-  // single-threaded run is a hand-written ReachableSets loop.
-  std::vector<std::unique_ptr<ReachabilityIndex>> extra_sessions;
-  std::vector<ReachabilityIndex*> sessions;
-  sessions.push_back(backend);
-  for (int i = 1; i < num_threads; ++i) {
-    extra_sessions.push_back(backend->NewSession());
-    sessions.push_back(extra_sessions.back().get());
-  }
-  for (ReachabilityIndex* session : sessions) {
-    session->SetIoQueueDepth(options_.io_queue_depth);
-    session->SetTraversalThreads(options_.traversal_threads);
-    session->SetMaxReadRetries(options_.max_read_retries);
-    session->SetDegradedServing(options_.degraded_serving);
-  }
-
-  std::vector<std::vector<IoStats>> shard_io_before;
-  shard_io_before.reserve(sessions.size());
-  for (ReachabilityIndex* session : sessions) {
-    shard_io_before.push_back(session->shard_io_stats());
-  }
-
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;  // Guards first_error only; never on the hot path.
-  Status first_error = Status::OK();
-
-  auto worker = [&](ReachabilityIndex* session) {
-    for (size_t b = next.fetch_add(1); b < num_batches;
-         b = next.fetch_add(1)) {
-      if (failed.load(std::memory_order_relaxed)) return;  // Stop early.
-      if (options_.cold_cache) session->ClearCache();
-      const size_t begin = b * batch;
-      const size_t end = std::min(begin + batch, n);
-      const std::vector<ObjectId> group(
-          sources.begin() + static_cast<ptrdiff_t>(begin),
-          sources.begin() + static_cast<ptrdiff_t>(end));
-      Stopwatch latency;
-      auto sets = session->ReachableSets(group, interval);
-      if (!sets.ok()) {
-        std::lock_guard<std::mutex> guard(error_mutex);
-        if (first_error.ok()) first_error = sets.status();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-      latencies[b] = latency.ElapsedSeconds();
-      report.per_batch[b] = session->last_query_stats();
-      for (size_t i = begin; i < end; ++i) {
-        report.sets[i] = std::move((*sets)[i - begin]);
-      }
-    }
-  };
-
-  Stopwatch wall;
-  if (num_threads == 1) {
-    worker(sessions[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker, sessions[static_cast<size_t>(i)]);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const double wall_seconds = wall.ElapsedSeconds();
-
-  if (!first_error.ok()) return first_error;
-
+  auto run = RunWorkItems(
+      options_, result_cache_.get(), backend, n, batch,
+      [&](size_t b, Worker* w) -> Status {
+        const size_t begin = b * batch;
+        const size_t end = std::min(begin + batch, n);
+        const std::vector<ObjectId> group(
+            sources.begin() + static_cast<ptrdiff_t>(begin),
+            sources.begin() + static_cast<ptrdiff_t>(end));
+        auto sets = w->session->ReachableSets(group, interval);
+        if (!sets.ok()) return sets.status();
+        for (size_t i = begin; i < end; ++i) {
+          report.sets[i] = std::move((*sets)[i - begin]);
+        }
+        return Status::OK();
+      });
+  if (!run.ok()) return run.status();
+  report.per_batch = std::move(run->stats);
+  report.statuses = std::move(run->statuses);
+  report.summary = std::move(run->summary);
   WorkloadSummary& s = report.summary;
-  s.backend = backend->DescribeIndex();
-  s.num_queries = n;  // One closure per source, however it was batched.
+  // One closure per source, however it was batched; a failed batch's
+  // sets stay empty and reach nothing.
   s.family_counts[static_cast<size_t>(QueryFamily::kBoolean)] = n;
-  s.io_queue_depth = options_.io_queue_depth;
-  s.traversal_threads = std::max(options_.traversal_threads, 1);
-  s.batch_sources = static_cast<int>(batch);
-  s.page_codec = ToString(backend_codec.value_or(options_.page_codec));
-  s.wall_seconds = wall_seconds;
-  s.queries_per_second =
-      wall_seconds > 0 ? static_cast<double>(n) / wall_seconds : 0.0;
   for (const std::vector<Timestamp>& set : report.sets) {
     for (Timestamp t : set) {
       if (t != kInvalidTime) ++s.num_reachable;
-    }
-  }
-  // Cost totals sum one entry per batch (each batch is one backend
-  // sweep); the latency distribution is likewise per batch.
-  for (size_t b = 0; b < num_batches; ++b) {
-    const QueryStats& q = report.per_batch[b];
-    s.total_io_cost += q.io_cost;
-    s.total_pages_fetched += q.pages_fetched;
-    s.total_pool_hits += q.pool_hits;
-    s.total_items_visited += q.items_visited;
-    s.total_cpu_seconds += q.cpu_seconds;
-    s.mean_latency += latencies[b];
-    s.max_latency = std::max(s.max_latency, latencies[b]);
-  }
-  if (num_batches > 0) s.mean_latency /= static_cast<double>(num_batches);
-  std::sort(latencies.begin(), latencies.end());
-  s.p50_latency = Percentile(latencies, 0.50);
-  s.p95_latency = Percentile(latencies, 0.95);
-  s.p99_latency = Percentile(latencies, 0.99);
-  for (size_t k = 0; k < sessions.size(); ++k) {
-    const std::vector<IoStats> after = sessions[k]->shard_io_stats();
-    if (after.size() > s.per_shard_io.size()) {
-      s.per_shard_io.resize(after.size());
-    }
-    for (size_t shard = 0; shard < after.size(); ++shard) {
-      IoStats delta = after[shard];
-      if (shard < shard_io_before[k].size()) {
-        delta = delta - shard_io_before[k][shard];
-      }
-      s.per_shard_io[shard] += delta;
     }
   }
   return report;
@@ -400,176 +368,62 @@ Result<ClosureWorkloadReport> QueryEngine::RunClosures(
 
 Result<FamilyWorkloadReport> QueryEngine::RunFamilies(
     ReachabilityIndex* backend, const std::vector<QuerySpec>& specs) const {
-  STREACH_CHECK(backend != nullptr);
-  const std::optional<PageCodecKind> backend_codec = backend->page_codec();
-  if (backend_codec.has_value() && *backend_codec != options_.page_codec) {
-    return Status::InvalidArgument(
-        std::string("page_codec mismatch: engine configured for ") +
-        ToString(options_.page_codec) + ", backend stores " +
-        ToString(*backend_codec));
-  }
-  const size_t n = specs.size();
   FamilyWorkloadReport report;
-  report.answers.resize(n);
-  report.per_query.resize(n);
-  report.statuses.resize(n);
-  std::vector<double> latencies(n, 0.0);
-
-  const int num_threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(options_.num_threads),
-                       std::max<size_t>(n, 1)));
-
-  // Sessions mirror Run(): worker 0 reuses the caller's session so a
-  // single-threaded run is a hand-written EvaluateFamily loop.
-  std::vector<std::unique_ptr<ReachabilityIndex>> extra_sessions;
-  std::vector<ReachabilityIndex*> sessions;
-  sessions.push_back(backend);
-  for (int i = 1; i < num_threads; ++i) {
-    extra_sessions.push_back(backend->NewSession());
-    sessions.push_back(extra_sessions.back().get());
-  }
-  for (ReachabilityIndex* session : sessions) {
-    session->SetIoQueueDepth(options_.io_queue_depth);
-    session->SetTraversalThreads(options_.traversal_threads);
-    session->SetMaxReadRetries(options_.max_read_retries);
-    session->SetDegradedServing(options_.degraded_serving);
-  }
-
-  std::vector<std::vector<IoStats>> shard_io_before;
-  shard_io_before.reserve(sessions.size());
-  for (ReachabilityIndex* session : sessions) {
-    shard_io_before.push_back(session->shard_io_stats());
-  }
-  const uint64_t cache_hits_before =
-      result_cache_ != nullptr ? result_cache_->hits() : 0;
-
-  std::atomic<size_t> next{0};
-
-  auto worker = [&](ReachabilityIndex* session) {
-    const bool cold = options_.cold_cache;
-    ResultCache* cache = cold ? nullptr : result_cache_.get();
-    const std::shared_ptr<const void> identity = session->IndexIdentity();
-    // Boolean specs share Run()'s set-cache path, including its "stop
-    // probing a point-query-only backend" downgrade; profile families
-    // only cache when the backend has a native ConstrainedProfile (a
-    // NotSupported there fails the whole spec anyway, cache or not).
-    bool set_cacheable = cache != nullptr && identity != nullptr;
-    const bool profile_cacheable = cache != nullptr && identity != nullptr;
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      if (cold) session->ClearCache();
-      const QuerySpec& spec = specs[i];
-      Stopwatch latency;
-      bool answered = false;
-      // Records a per-spec failure; the rest of the workload keeps going.
-      auto fail_spec = [&](const Status& status) {
-        report.statuses[i] = status;
-        report.per_query[i] = session->last_query_stats();
-        answered = true;
-      };
-      if (spec.family == QueryFamily::kBoolean && set_cacheable) {
-        if (ResultCache::SetPtr set =
-                cache->Lookup(identity, spec.source, spec.interval)) {
-          report.answers[i].family = spec.family;
-          report.answers[i].point = AnswerFromSet(*set, spec.destination);
-          report.per_query[i] = QueryStats{};  // No backend work done.
-          answered = true;
-        } else {
-          auto set_result = session->ReachableSet(spec.source, spec.interval);
-          if (set_result.ok()) {
-            auto shared = std::make_shared<const std::vector<Timestamp>>(
-                std::move(*set_result));
-            cache->Insert(identity, spec.source, spec.interval, shared);
-            report.answers[i].family = spec.family;
-            report.answers[i].point = AnswerFromSet(*shared, spec.destination);
-            report.per_query[i] = session->last_query_stats();
-            answered = true;
-          } else if (set_result.status().IsNotSupported()) {
-            set_cacheable = false;  // Point-query-only backend.
-          } else {
-            fail_spec(set_result.status());
+  report.answers.resize(specs.size());
+  auto run = RunWorkItems(
+      options_, result_cache_.get(), backend, specs.size(), 1,
+      [&](size_t i, Worker* w) -> Status {
+        const QuerySpec& spec = specs[i];
+        FamilyAnswer& answer = report.answers[i];
+        if (spec.family == QueryFamily::kBoolean) {
+          // The uncached fallback below still answers through
+          // ReachableSet (EvaluateFamily), never the early-exit Query.
+          if (auto cached = CachedPointAnswer(w, spec.source,
+                                              spec.destination,
+                                              spec.interval)) {
+            if (!cached->ok()) return cached->status();
+            answer.family = spec.family;
+            answer.point = **cached;
+            return Status::OK();
           }
-        }
-      } else if (profile_cacheable &&
-                 (spec.family == QueryFamily::kDecayReach ||
-                  spec.family == QueryFamily::kKHopReach ||
-                  spec.family == QueryFamily::kThresholdReach)) {
-        auto hops = ResolveHops(spec);
-        if (!hops.ok()) {
-          fail_spec(hops.status());
-        } else if (ResultCache::ProfilePtr profile = cache->LookupProfile(
-                       identity, spec.source, spec.interval, *hops)) {
-          report.answers[i] = AnswerFromProfile(spec, *profile);
-          report.per_query[i] = QueryStats{};  // No backend work done.
-          answered = true;
-        } else {
-          auto profile_result =
-              session->ConstrainedProfile(spec.source, spec.interval, *hops);
-          if (!profile_result.ok()) {
-            fail_spec(profile_result.status());
-          } else {
-            auto shared =
-                std::make_shared<const std::vector<ReachProfileEntry>>(
-                    std::move(*profile_result));
-            cache->InsertProfile(identity, spec.source, spec.interval, *hops,
-                                 shared);
-            report.answers[i] = AnswerFromProfile(spec, *shared);
-            report.per_query[i] = session->last_query_stats();
-            answered = true;
+        } else if (w->cache != nullptr &&
+                   (spec.family == QueryFamily::kDecayReach ||
+                    spec.family == QueryFamily::kKHopReach ||
+                    spec.family == QueryFamily::kThresholdReach)) {
+          // The resolved HopConstraints join the cache key.
+          auto hops = ResolveHops(spec);
+          if (!hops.ok()) return hops.status();
+          if (ResultCache::ProfilePtr profile = w->cache->LookupProfile(
+                  w->identity, spec.source, spec.interval, *hops)) {
+            w->cache_hit = true;
+            answer = AnswerFromProfile(spec, *profile);
+            return Status::OK();
           }
+          auto profile =
+              w->session->ConstrainedProfile(spec.source, spec.interval, *hops);
+          if (!profile.ok()) return profile.status();
+          auto shared = std::make_shared<const std::vector<ReachProfileEntry>>(
+              std::move(*profile));
+          w->cache->InsertProfile(w->identity, spec.source, spec.interval,
+                                  *hops, shared);
+          answer = AnswerFromProfile(spec, *shared);
+          return Status::OK();
         }
-      }
-      if (!answered) {
-        auto answer = EvaluateFamily(session, spec);
-        if (answer.ok()) {
-          report.answers[i] = std::move(*answer);
-          report.per_query[i] = session->last_query_stats();
-        } else {
-          fail_spec(answer.status());
-        }
-      }
-      latencies[i] = latency.ElapsedSeconds();
-    }
-  };
-
-  Stopwatch wall;
-  if (num_threads == 1) {
-    worker(sessions[0]);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i) {
-      threads.emplace_back(worker, sessions[static_cast<size_t>(i)]);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  const double wall_seconds = wall.ElapsedSeconds();
-
+        auto evaluated = EvaluateFamily(w->session, spec);
+        if (!evaluated.ok()) return evaluated.status();
+        answer = std::move(*evaluated);
+        return Status::OK();
+      });
+  if (!run.ok()) return run.status();
+  report.per_query = std::move(run->stats);
+  report.statuses = std::move(run->statuses);
+  report.summary = std::move(run->summary);
   WorkloadSummary& s = report.summary;
-  s.backend = backend->DescribeIndex();
-  s.num_queries = n;
-  s.io_queue_depth = options_.io_queue_depth;
-  s.traversal_threads = std::max(options_.traversal_threads, 1);
-  s.page_codec = ToString(backend_codec.value_or(options_.page_codec));
-  s.wall_seconds = wall_seconds;
-  s.queries_per_second =
-      wall_seconds > 0 ? static_cast<double>(n) / wall_seconds : 0.0;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < specs.size(); ++i) {
     // Failed specs count under the family that was ASKED (their answer
     // slot is default-constructed) and contribute no reach counts.
     ++s.family_counts[static_cast<size_t>(specs[i].family)];
-    const QueryStats& q = report.per_query[i];
-    if (q.degraded) ++s.degraded_queries;
-    s.total_io_cost += q.io_cost;
-    s.total_pages_fetched += q.pages_fetched;
-    s.total_pool_hits += q.pool_hits;
-    s.total_items_visited += q.items_visited;
-    s.total_cpu_seconds += q.cpu_seconds;
-    s.mean_latency += latencies[i];
-    s.max_latency = std::max(s.max_latency, latencies[i]);
-    if (!report.statuses[i].ok()) {
-      ++s.failed_queries;
-      continue;
-    }
+    if (!report.statuses[i].ok()) continue;
     const FamilyAnswer& answer = report.answers[i];
     switch (answer.family) {
       case QueryFamily::kBoolean:
@@ -587,27 +441,6 @@ Result<FamilyWorkloadReport> QueryEngine::RunFamilies(
           s.num_reachable += entry.reach_count;
         }
         break;
-    }
-  }
-  if (n > 0) s.mean_latency /= static_cast<double>(n);
-  std::sort(latencies.begin(), latencies.end());
-  s.p50_latency = Percentile(latencies, 0.50);
-  s.p95_latency = Percentile(latencies, 0.95);
-  s.p99_latency = Percentile(latencies, 0.99);
-  if (result_cache_ != nullptr) {
-    s.result_cache_hits = result_cache_->hits() - cache_hits_before;
-  }
-  for (size_t k = 0; k < sessions.size(); ++k) {
-    const std::vector<IoStats> after = sessions[k]->shard_io_stats();
-    if (after.size() > s.per_shard_io.size()) {
-      s.per_shard_io.resize(after.size());
-    }
-    for (size_t shard = 0; shard < after.size(); ++shard) {
-      IoStats delta = after[shard];
-      if (shard < shard_io_before[k].size()) {
-        delta = delta - shard_io_before[k][shard];
-      }
-      s.per_shard_io[shard] += delta;
     }
   }
   return report;

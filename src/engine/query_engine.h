@@ -42,12 +42,12 @@ struct QueryEngineOptions {
   /// On-disk record codec the workload's disk-resident backend is
   /// expected to decode with. Purely a declared expectation: each
   /// backend session knows (and uses) the codec its index was built
-  /// with, and `Run` fails with InvalidArgument when a disk backend's
-  /// actual codec differs from this — the same guard a production fleet
-  /// needs against pointing a reader generation at an incompatibly
-  /// encoded store. Memory-resident backends are exempt. The default
-  /// matches the default build codec, so existing call sites never
-  /// trip it.
+  /// with, and every runner fails with InvalidArgument when a disk
+  /// backend's actual codec differs from this — the same guard a
+  /// production fleet needs against pointing a reader generation at an
+  /// incompatibly encoded store. Memory-resident backends are exempt.
+  /// The default matches the default build codec, so existing call
+  /// sites never trip it.
   PageCodecKind page_codec = PageCodecKind::kRaw;
 
   /// Worker threads each session's closure sweeps may use for intra-query
@@ -65,27 +65,6 @@ struct QueryEngineOptions {
   /// Answers are identical at every setting; the IO bill is not: a batch
   /// reads each hot page once instead of once per source.
   int batch_sources = 1;
-
-  /// \name Streaming-ingestion knobs
-  ///
-  /// Consumed by call sites standing up a streaming-backed workload
-  /// (`MakeStreamingOptions` in stream/streaming_options.h copies them,
-  /// plus `page_codec` above, into the ingestor's `StreamingOptions`);
-  /// the engine itself does not alter execution based on them. Answers
-  /// never depend on either — any seal schedule and any arrival order
-  /// within the lateness bound produce byte-identical results.
-  /// @{
-
-  /// Stream ticks between automatic head seals (width of the sealed
-  /// segments' time grid). <= 0 keeps the `StreamingOptions` default.
-  int seal_interval_ticks = 0;
-
-  /// Bounded arrival disorder the head tolerates: an appended contact
-  /// run may close up to this many ticks before the latest close tick
-  /// already seen. < 0 keeps the `StreamingOptions` default (0, the
-  /// `ContactSink` in-order contract).
-  int max_lateness_ticks = -1;
-  /// @}
 
   /// Bounded retry budget for transient (`Unavailable`) read failures,
   /// applied to every worker session before the run
@@ -130,6 +109,10 @@ struct WorkloadSummary {
   double total_io_cost = 0.0;
   uint64_t total_pages_fetched = 0;
   uint64_t total_pool_hits = 0;
+  /// Records served from the pools' decoded-record caches
+  /// (`QueryStats::decoded_hits`; 0 under the raw codec). A hot run over
+  /// a non-raw codec can read no page yet still show work here.
+  uint64_t total_decoded_hits = 0;
   uint64_t total_items_visited = 0;
   double total_cpu_seconds = 0.0;
   /// Wall-clock of the whole run and derived throughput.
@@ -143,11 +126,12 @@ struct WorkloadSummary {
   double max_latency = 0.0;
   /// Point queries answered from the engine's result cache.
   uint64_t result_cache_hits = 0;
-  /// Queries whose per-query status is an error (`Run`/`RunFamilies`
-  /// record them in the report's `statuses` and keep going; 0 on every
-  /// healthy run).
+  /// Queries whose status is an error (every runner records them in the
+  /// report's `statuses` and keeps going; 0 on every healthy run). A
+  /// failed closure batch counts each of its sources.
   uint64_t failed_queries = 0;
-  /// Queries answered under degraded serving (`QueryStats::degraded`).
+  /// Queries answered under degraded serving (`QueryStats::degraded`);
+  /// a degraded closure batch counts each of its sources.
   uint64_t degraded_queries = 0;
   /// Queries per family over the run, indexed by the `QueryFamily` tag
   /// value. `Run`/`RunClosures` workloads count as all-boolean;
@@ -250,11 +234,14 @@ struct FamilyWorkloadReport {
 
 /// Everything a closure-workload run produces. `sets[i]` is the full
 /// reachable set of the i-th input source independent of execution order;
-/// `per_batch[b]` covers the b-th batch of `batch_sources` consecutive
-/// sources (one backend sweep each).
+/// `per_batch[b]` and `statuses[b]` cover the b-th batch of
+/// `batch_sources` consecutive sources (one backend sweep each). A failed
+/// batch keeps its error in `statuses[b]` and leaves its sources' sets
+/// empty.
 struct ClosureWorkloadReport {
   std::vector<std::vector<Timestamp>> sets;
   std::vector<QueryStats> per_batch;
+  std::vector<Status> statuses;
   WorkloadSummary summary;
 };
 
@@ -264,9 +251,19 @@ struct ClosureWorkloadReport {
 /// Concurrency model: the backend's immutable structure (simulated disk
 /// pages, in-memory directories) is shared read-only; every worker thread
 /// owns a private session — buffer pool, IO cursor, stats slot — created
-/// with `NewSession()`. Threads claim queries from a shared atomic
+/// with `NewSession()`. Threads claim work items from a shared atomic
 /// counter, and results land in pre-sized slots, so no locks are held on
 /// the query path and answers are byte-identical to a sequential run.
+///
+/// All three runners share one work-item loop. A work item is one point
+/// query (`Run`), one closure batch (`RunClosures`) or one family spec
+/// (`RunFamilies`); each runner supplies only how to evaluate an item and
+/// how to count reached answers. The loop owns the rest: the codec
+/// guard, session setup, threads, the `cold_cache` clear, per-item
+/// latency, status and stats, and the summary with its per-shard IO. So
+/// every runner fails the same way: an item's error lands in the
+/// report's `statuses` and is counted in `summary.failed_queries`, and
+/// only setup errors (codec mismatch) fail the call itself.
 class QueryEngine {
  public:
   explicit QueryEngine(QueryEngineOptions options = {});
@@ -286,7 +283,10 @@ class QueryEngine {
   /// `ReachableSets` call on a worker session (workers claim batches off
   /// a shared counter; `cold_cache` clears the session pool before each
   /// batch, so a batch's internal page reuse is the only warmth).
-  /// Latency percentiles in the summary are per batch. Answers are
+  /// `num_queries` and `queries_per_second` count sources; latency
+  /// percentiles are per batch. A failing batch records its error in
+  /// `report.statuses[b]`, counted for each of its sources by
+  /// `summary.failed_queries`, and the run continues. Answers are
   /// byte-identical for every num_threads / traversal_threads /
   /// batch_sources combination.
   Result<ClosureWorkloadReport> RunClosures(
@@ -294,14 +294,15 @@ class QueryEngine {
       TimeInterval interval) const;
 
   /// Runs a mixed-family workload (engine/query_spec.h): boolean specs
-  /// follow the exact `Run` path (result-cached reachable sets, plain
-  /// `Query` fallback for point-only backends), decay / k-hop / threshold
-  /// specs evaluate through `ConstrainedProfile` with the resolved
-  /// `HopConstraints` joining the cache key, and top-k specs rank one
-  /// `ReachableSets` batch over their candidates (uncached — a top-k
-  /// answer is already an aggregate). Answers are byte-identical at every
-  /// num_threads and with the cache on or off; per-spec failures
-  /// (including a family the backend cannot serve) land in
+  /// share `Run`'s result-cache lookup but, uncached, answer through
+  /// `ReachableSet` (`EvaluateFamily`, with a plain `Query` fallback for
+  /// point-only backends) rather than `Run`'s early-exit `Query`; decay /
+  /// k-hop / threshold specs evaluate through `ConstrainedProfile` with
+  /// the resolved `HopConstraints` joining the cache key, and top-k specs
+  /// rank one `ReachableSets` batch over their candidates (uncached — a
+  /// top-k answer is already an aggregate). Answers are byte-identical
+  /// at every num_threads and with the cache on or off; per-spec
+  /// failures (including a family the backend cannot serve) land in
   /// `report.statuses[i]` like `Run`'s, without aborting. The summary's
   /// `num_reachable` totals reached point answers (boolean, threshold),
   /// finite profile entries (decay, k-hop), and the reach counts of the
@@ -316,7 +317,7 @@ class QueryEngine {
 
  private:
   QueryEngineOptions options_;
-  std::shared_ptr<ResultCache> result_cache_;  // Shared by Run's workers.
+  std::shared_ptr<ResultCache> result_cache_;  // Shared by all workers.
 };
 
 }  // namespace streach

@@ -6,7 +6,10 @@
 // brute-force oracle on a seeded random-waypoint dataset, both through a
 // plain sequential loop and through a 4-thread engine run; (b) a
 // multi-threaded engine run is byte-identical to the sequential run of
-// the same backend while still reporting aggregated QueryStats.
+// the same backend while still reporting aggregated QueryStats; (c)
+// `Run`, `RunClosures` and `RunFamilies` behave alike on empty
+// workloads, on runs with more threads than work items, and in their
+// per-shard IO accounting.
 
 #include <gtest/gtest.h>
 
@@ -537,6 +540,247 @@ TEST_F(EngineTest, ColdCacheModeRefetchesEveryQuery) {
   // A warm pool can only reduce the pages fetched.
   EXPECT_LE(warm_report->summary.total_pages_fetched,
             cold_report->summary.total_pages_fetched);
+}
+
+TEST_F(EngineTest, SummaryTotalsDecodedHits) {
+  const std::vector<ReachQuery> queries = MakeQueries(60, 417);
+  ReachGraphOptions delta_options;
+  delta_options.build.page_codec = PageCodecKind::kDeltaVarint;
+  auto delta = ReachGraphIndex::Build(*stack_->network, delta_options);
+  ASSERT_TRUE(delta.ok());
+  auto backend = MakeReachGraphBackend(std::move(*delta),
+                                       ReachGraphTraversal::kBmBfs);
+  QueryEngineOptions options;
+  options.page_codec = PageCodecKind::kDeltaVarint;
+  const QueryEngine engine(options);
+  ASSERT_TRUE(engine.Run(backend.get(), queries).ok());  // Warm the pool.
+  auto hot = engine.Run(backend.get(), queries);
+  ASSERT_TRUE(hot.ok());
+  uint64_t decoded_hits = 0;
+  for (const QueryStats& q : hot->per_query) decoded_hits += q.decoded_hits;
+  EXPECT_GT(hot->summary.total_decoded_hits, 0u);
+  EXPECT_EQ(hot->summary.total_decoded_hits, decoded_hits);
+  EXPECT_NE(hot->summary.ToString().find(
+                "decoded_hits=" + std::to_string(decoded_hits)),
+            std::string::npos)
+      << hot->summary.ToString();
+
+  // The raw codec never decodes, so it never serves a decoded hit.
+  auto raw = MakeReachGraphBackend(stack_->graph, ReachGraphTraversal::kBmBfs);
+  ASSERT_TRUE(QueryEngine().Run(raw.get(), queries).ok());
+  auto raw_hot = QueryEngine().Run(raw.get(), queries);
+  ASSERT_TRUE(raw_hot.ok());
+  EXPECT_EQ(raw_hot->summary.total_decoded_hits, 0u);
+}
+
+// ------------------------------------------------------- engine runners
+
+/// Drives `Run`, `RunClosures` and `RunFamilies` through one shape, so
+/// every check below covers all three runners alike: over the suite's
+/// unsharded ReachGrid and a 4-shard ReachGraph, at 1 and 4 threads.
+class EngineRunners : public EngineTest {
+ protected:
+  enum class Runner { kPoint, kClosure, kFamily };
+
+  /// What the checks compare: the answer stream, serialized field by
+  /// field, and the run's summary.
+  struct Outcome {
+    std::string answers;
+    WorkloadSummary summary;
+  };
+
+  static void SetUpTestSuite() {
+    EngineTest::SetUpTestSuite();
+    ReachGraphOptions options;
+    options.num_shards = 4;
+    auto graph = ReachGraphIndex::Build(*stack_->network, options);
+    ASSERT_TRUE(graph.ok());
+    sharded_graph_ = std::move(*graph);
+  }
+
+  static void TearDownTestSuite() {
+    sharded_graph_.reset();
+    EngineTest::TearDownTestSuite();
+  }
+
+  static std::vector<std::unique_ptr<ReachabilityIndex>> DiskBackends() {
+    std::vector<std::unique_ptr<ReachabilityIndex>> backends;
+    backends.push_back(MakeReachGridBackend(stack_->grid));
+    backends.push_back(
+        MakeReachGraphBackend(sharded_graph_, ReachGraphTraversal::kBmBfs));
+    return backends;
+  }
+
+  template <typename T>
+  static void AppendBytes(std::string* out, const T& value) {
+    out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+  }
+
+  /// `num_items` work items of `runner`'s kind: point queries, closure
+  /// batches of two sources, or family specs cycling over all five
+  /// families.
+  static Result<Outcome> RunWorkload(Runner runner, int threads,
+                                     size_t num_items,
+                                     ReachabilityIndex* backend) {
+    QueryEngineOptions options;
+    options.num_threads = threads;
+    options.batch_sources = 2;
+    const QueryEngine engine(options);
+    Outcome out;
+    switch (runner) {
+      case Runner::kPoint: {
+        auto report =
+            engine.Run(backend, MakeQueries(static_cast<int>(num_items), 501));
+        if (!report.ok()) return report.status();
+        for (const Status& status : report->statuses) {
+          if (!status.ok()) return status;
+        }
+        out.answers = SerializeAnswers(report->answers);
+        out.summary = report->summary;
+        break;
+      }
+      case Runner::kClosure: {
+        // Two sources per batch: the last batch is short when odd.
+        std::vector<ObjectId> sources;
+        for (size_t i = 0; i < 2 * num_items; ++i) {
+          sources.push_back(static_cast<ObjectId>((7 * i) %
+                                                  stack_->store.num_objects()));
+        }
+        if (!sources.empty()) sources.pop_back();
+        auto report = engine.RunClosures(backend, sources,
+                                         TimeInterval(40, 160));
+        if (!report.ok()) return report.status();
+        for (const std::vector<Timestamp>& set : report->sets) {
+          AppendBytes(&out.answers, set.size());
+          for (Timestamp t : set) AppendBytes(&out.answers, t);
+        }
+        out.summary = report->summary;
+        break;
+      }
+      case Runner::kFamily: {
+        std::vector<QuerySpec> specs;
+        for (size_t i = 0; i < num_items; ++i) {
+          FamilyWorkloadParams params;
+          params.base.num_queries = 1;
+          params.base.num_objects = stack_->store.num_objects();
+          params.base.span = stack_->store.span();
+          params.base.min_interval_len = 30;
+          params.base.max_interval_len = 120;
+          params.base.seed = 900 + i;
+          params.family = static_cast<QueryFamily>(i % 5);
+          specs.push_back(GenerateFamilyWorkload(params)[0]);
+        }
+        auto report = engine.RunFamilies(backend, specs);
+        if (!report.ok()) return report.status();
+        for (const Status& status : report->statuses) {
+          if (!status.ok()) return status;
+        }
+        for (const FamilyAnswer& a : report->answers) {
+          AppendBytes(&out.answers, a.family);
+          AppendBytes(&out.answers, a.point.reachable);
+          AppendBytes(&out.answers, a.point.arrival_time);
+          AppendBytes(&out.answers, a.best_probability);
+          for (const ReachProfileEntry& e : a.profile) {
+            AppendBytes(&out.answers, e.infected_at);
+            AppendBytes(&out.answers, e.transfers);
+          }
+          for (const TopKEntry& e : a.ranked) {
+            AppendBytes(&out.answers, e.source);
+            AppendBytes(&out.answers, e.reach_count);
+          }
+        }
+        out.summary = report->summary;
+        break;
+      }
+    }
+    return out;
+  }
+
+  static std::string Label(const ReachabilityIndex& backend, Runner runner,
+                           int threads) {
+    return backend.DescribeIndex() +
+           " runner=" + std::to_string(static_cast<int>(runner)) +
+           " threads=" + std::to_string(threads);
+  }
+
+  static constexpr Runner kRunners[] = {Runner::kPoint, Runner::kClosure,
+                                        Runner::kFamily};
+
+  static std::shared_ptr<const ReachGraphIndex> sharded_graph_;
+};
+
+std::shared_ptr<const ReachGraphIndex> EngineRunners::sharded_graph_;
+
+TEST_F(EngineRunners, EmptyWorkloadReturnsOkWithZeroedSummary) {
+  for (Runner runner : kRunners) {
+    for (int threads : {1, 4}) {
+      for (auto& backend : DiskBackends()) {
+        const std::string label = Label(*backend, runner, threads);
+        auto out = RunWorkload(runner, threads, 0, backend.get());
+        ASSERT_TRUE(out.ok()) << label << ": " << out.status().ToString();
+        EXPECT_TRUE(out->answers.empty()) << label;
+        const WorkloadSummary& s = out->summary;
+        EXPECT_EQ(s.num_queries, 0u) << label;
+        EXPECT_EQ(s.num_reachable, 0u) << label;
+        EXPECT_EQ(s.failed_queries, 0u) << label;
+        EXPECT_EQ(s.degraded_queries, 0u) << label;
+        EXPECT_EQ(s.total_pages_fetched, 0u) << label;
+        EXPECT_EQ(s.total_pool_hits, 0u) << label;
+        EXPECT_EQ(s.total_items_visited, 0u) << label;
+        EXPECT_EQ(s.total_io_cost, 0.0) << label;
+        EXPECT_EQ(s.mean_latency, 0.0) << label;
+        EXPECT_EQ(s.max_latency, 0.0) << label;
+        EXPECT_EQ(s.p99_latency, 0.0) << label;
+        EXPECT_EQ(s.mean_io_cost(), 0.0) << label;
+        for (uint64_t count : s.family_counts) EXPECT_EQ(count, 0u) << label;
+        for (const IoStats& shard : s.per_shard_io) {
+          EXPECT_EQ(shard.total_reads(), 0u) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(EngineRunners, MoreThreadsThanItemsMatchesOneThread) {
+  for (Runner runner : kRunners) {
+    for (auto& backend : DiskBackends()) {
+      const std::string label = Label(*backend, runner, 4);
+      auto one = RunWorkload(runner, 1, 3, backend.get());
+      ASSERT_TRUE(one.ok()) << label << ": " << one.status().ToString();
+      auto session = backend->NewSession();
+      auto four = RunWorkload(runner, 4, 3, session.get());
+      ASSERT_TRUE(four.ok()) << label << ": " << four.status().ToString();
+      EXPECT_FALSE(one->answers.empty()) << label;
+      EXPECT_EQ(one->answers, four->answers) << label;
+      EXPECT_EQ(one->summary.num_queries, four->summary.num_queries) << label;
+      EXPECT_EQ(one->summary.num_reachable, four->summary.num_reachable)
+          << label;
+      EXPECT_EQ(one->summary.family_counts, four->summary.family_counts)
+          << label;
+    }
+  }
+}
+
+TEST_F(EngineRunners, PerShardIoSumsToPagesFetched) {
+  for (Runner runner : kRunners) {
+    for (int threads : {1, 4}) {
+      for (auto& backend : DiskBackends()) {
+        const std::string label = Label(*backend, runner, threads);
+        // Cold sessions, so every run reads pages.
+        auto session = backend->NewSession();
+        auto out = RunWorkload(runner, threads, 10, session.get());
+        ASSERT_TRUE(out.ok()) << label << ": " << out.status().ToString();
+        const WorkloadSummary& s = out->summary;
+        ASSERT_FALSE(s.per_shard_io.empty()) << label;
+        IoStats total;
+        for (const IoStats& shard : s.per_shard_io) total += shard;
+        EXPECT_GT(s.total_pages_fetched, 0u) << label;
+        EXPECT_EQ(total.total_reads(), s.total_pages_fetched) << label;
+        EXPECT_NEAR(total.NormalizedReadCost(), s.total_io_cost, 1e-6)
+            << label;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -553,5 +553,61 @@ TEST(Quarantine, DegradedServingSkipsQuarantinedSegmentsAndFlags) {
   }
 }
 
+TEST(Quarantine, ClosureBatchesFailAndDegradeLikePointQueries) {
+  const Matrix m = MakeMatrixInputs();
+  auto variants = BuildVariants(m, /*num_shards=*/1, PageCodecKind::kRaw);
+  BackendVariant& streaming = variants.back();
+  ASSERT_EQ(streaming.label, "streaming");
+
+  FaultInjectorOptions fault_options;
+  fault_options.seed = 5;
+  fault_options.bitflip_rate = 1.0;
+  const FaultInjector injector(fault_options);
+  ASSERT_TRUE(CorruptMedia(*streaming.topologies[0], injector, true).ok());
+
+  // Whole-span closures must touch the damaged segment. Five sources in
+  // batches of two: the last batch holds one source.
+  const std::vector<ObjectId> sources = {0, 1, 2, 3, 4};
+  QueryEngineOptions engine_options;
+  engine_options.batch_sources = 2;
+
+  // By default a failing batch fails alone: the call succeeds and every
+  // batch carries the Corruption, counted once per source.
+  auto session = streaming.session();
+  const auto failing = QueryEngine(engine_options)
+                           .RunClosures(session.get(), sources,
+                                        m.store->span());
+  ASSERT_TRUE(failing.ok()) << failing.status().ToString();
+  ASSERT_EQ(failing->statuses.size(), 3u);
+  for (const Status& status : failing->statuses) {
+    EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  }
+  EXPECT_EQ(failing->summary.failed_queries, sources.size());
+  EXPECT_EQ(failing->summary.num_queries, sources.size());
+  EXPECT_NE(failing->summary.ToString().find("failed=5"), std::string::npos)
+      << failing->summary.ToString();
+
+  // Degraded serving answers every batch from the readable segments.
+  engine_options.degraded_serving = true;
+  auto degraded_session = streaming.session();
+  const auto degraded = QueryEngine(engine_options)
+                            .RunClosures(degraded_session.get(), sources,
+                                         m.store->span());
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  for (const Status& status : degraded->statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  EXPECT_EQ(degraded->summary.failed_queries, 0u);
+  EXPECT_GT(degraded->summary.degraded_queries, 0u);
+  uint64_t flagged_sources = 0;
+  for (size_t b = 0; b < degraded->per_batch.size(); ++b) {
+    if (degraded->per_batch[b].degraded) flagged_sources += b < 2 ? 2 : 1;
+  }
+  EXPECT_EQ(flagged_sources, degraded->summary.degraded_queries);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(degraded->sets[i].size(), m.store->num_objects());
+  }
+}
+
 }  // namespace
 }  // namespace streach

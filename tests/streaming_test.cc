@@ -582,24 +582,7 @@ TEST(StreamingIngestor, ValidatesOptions) {
   EXPECT_TRUE(StreamingIngestor::Create(options).ok());
 }
 
-TEST(StreamingEngine, EngineOptionsBridgeAndCodecGuard) {
-  QueryEngineOptions engine_options;
-  engine_options.seal_interval_ticks = 32;
-  engine_options.max_lateness_ticks = 7;
-  engine_options.page_codec = PageCodecKind::kDeltaVarint;
-  const StreamingOptions bridged =
-      MakeStreamingOptions(kObjects, kSpan, engine_options);
-  EXPECT_EQ(bridged.num_objects, kObjects);
-  EXPECT_EQ(bridged.span, kSpan);
-  EXPECT_EQ(bridged.seal_interval_ticks, 32);
-  EXPECT_EQ(bridged.max_lateness_ticks, 7);
-  EXPECT_EQ(bridged.build.page_codec, PageCodecKind::kDeltaVarint);
-  // Unset knobs keep the streaming defaults.
-  const StreamingOptions defaults =
-      MakeStreamingOptions(kObjects, kSpan, QueryEngineOptions{});
-  EXPECT_EQ(defaults.seal_interval_ticks, StreamingOptions{}.seal_interval_ticks);
-  EXPECT_EQ(defaults.max_lateness_ticks, 0);
-
+TEST(StreamingEngine, CodecGuardAndEngineRuns) {
   // A streaming backend declares its codec, so the engine's
   // mis-declared-decode guard applies to the live tier too.
   const std::vector<Contact> contacts = MakeRandomContacts(23, 120);
@@ -617,6 +600,12 @@ TEST(StreamingEngine, EngineOptionsBridgeAndCodecGuard) {
   const QueryEngine wrong(mismatched);
   const std::vector<ReachQuery> queries = MakeQueries(29, 20);
   EXPECT_TRUE(wrong.Run(backend.get(), queries).status().IsInvalidArgument());
+  EXPECT_TRUE(wrong.RunClosures(backend.get(), {1, 4}, TimeInterval(10, 150))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(wrong.RunFamilies(backend.get(), {QuerySpec{}})
+                  .status()
+                  .IsInvalidArgument());
 
   QueryEngineOptions matched;
   matched.page_codec = PageCodecKind::kDeltaVarint;
@@ -659,10 +648,10 @@ TEST(StreamingSink, ExtractContactsToFeedsTheHeadDirectly) {
   const double dt = 30.0;
   const std::vector<Contact> contacts = ExtractContacts(*store, dt);
 
-  QueryEngineOptions engine_options;
-  engine_options.seal_interval_ticks = 20;
-  StreamingOptions options = MakeStreamingOptions(
-      store->num_objects(), store->span(), engine_options);
+  StreamingOptions options;
+  options.num_objects = store->num_objects();
+  options.span = store->span();
+  options.seal_interval_ticks = 20;
   auto ingestor = StreamingIngestor::Create(options);
   ASSERT_TRUE(ingestor.ok());
   ExtractContactsTo(*store, dt, store->span(), JoinOptions{},
